@@ -1,8 +1,9 @@
 //! Measures sequential vs pooled verification wall-clock per case study
 //! and writes the `BENCH_verify.json` artifact.
 //!
-//! Sequential is `jobs = 1`; pooled is a four-worker work-stealing pool
-//! with persistent incremental engines. Each configuration is run
+//! Sequential is `jobs = 1` (a pool of one, inline); pooled is
+//! `jobs = 4`, which the work threshold keeps on one worker for designs
+//! too small to repay a pool. Each configuration is run
 //! `--runs N` times (default 3) and the best time is kept, so the
 //! artifact reflects steady-state cost, not first-run noise. Rows also
 //! carry the solver-effort telemetry totals of the sequential run, so
@@ -10,7 +11,8 @@
 //! artifact diff.
 //!
 //! Preprocessing is measured A/B per design: `cnf_vars_pre` /
-//! `cnf_clauses_pre` come from a `--no-preprocess` sequential run,
+//! `cnf_clauses_pre` come from a `--no-preprocess` one-worker run (same
+//! persistent engines, no slicing, simplification or inprocessing),
 //! `cnf_vars_post` / `cnf_clauses_post` and `coi_dropped` from the
 //! preprocessed one, and the artifact's `geomean_cnf_reduction` is the
 //! geometric-mean shrink of (vars + clauses) across designs.
@@ -52,7 +54,12 @@ const COSIM_COMPILED_CYCLES: usize = 100_000;
 /// factor in geomean across designs; see [`check_artifact`].
 const COSIM_GATE: f64 = 100.0;
 
-fn best_run_with(cs: &CaseStudy, opts: &VerifyOptions, runs: usize) -> (f64, ModuleReport) {
+fn best_run(cs: &CaseStudy, jobs: usize, runs: usize, preprocess: bool) -> (f64, ModuleReport) {
+    let opts = &VerifyOptions {
+        jobs: Some(jobs),
+        preprocess,
+        ..Default::default()
+    };
     // One untimed warm-up run first: it pays the one-off costs (thread
     // pool spin-up, allocator growth, cold caches) that otherwise
     // dominate sub-millisecond designs and made tiny pooled runs look
@@ -72,15 +79,6 @@ fn best_run_with(cs: &CaseStudy, opts: &VerifyOptions, runs: usize) -> (f64, Mod
         }
     }
     (best_s, best_report.expect("runs >= 1"))
-}
-
-fn best_run(cs: &CaseStudy, jobs: usize, runs: usize, preprocess: bool) -> (f64, ModuleReport) {
-    let opts = VerifyOptions {
-        jobs: Some(jobs),
-        preprocess,
-        ..Default::default()
-    };
-    best_run_with(cs, &opts, runs)
 }
 
 /// Best-of-`runs` co-simulation throughput of both backends, in cycles
@@ -188,20 +186,6 @@ fn bench_rows(runs: usize) -> Vec<Value> {
         eprintln!("benchmarking {} ...", cs.name);
         let (sequential_s, seq_report) = best_run(&cs, 1, runs, true);
         let (pooled_s, pooled_report) = best_run(&cs, POOL_JOBS, runs, true);
-        // The clause-sharing leg: same pool, short learnt clauses
-        // exchanged between workers of a port. Its wall time rides
-        // along for the diff; the exchange counters prove the wiring
-        // is live on designs the adaptive threshold routes to the pool
-        // (designs below the threshold fall back and report zeros).
-        let (pooled_share_s, share_report) = best_run_with(
-            &cs,
-            &VerifyOptions {
-                jobs: Some(POOL_JOBS),
-                share_clauses: true,
-                ..Default::default()
-            },
-            runs,
-        );
         // The preprocessing A/B leg: CNF counters are deterministic, so
         // one --no-preprocess run is enough for the "pre" columns.
         let (_, pre_report) = best_run(&cs, 1, 1, false);
@@ -250,22 +234,9 @@ fn bench_rows(runs: usize) -> Vec<Value> {
             ("pooled_s".into(), pooled_s.into()),
             ("speedup".into(), (sequential_s / pooled_s).into()),
             // Scheduling shape of the pooled run: how many per-port
-            // job batches the scheduler cut (0 = the adaptive
-            // threshold routed this design to the sequential engine).
+            // job batches the scheduler cut (0 = the work threshold
+            // kept this design on one worker).
             ("batch_count".into(), pooled_report.telemetry.batches.into()),
-            ("pooled_share_s".into(), pooled_share_s.into()),
-            (
-                "clauses_exported".into(),
-                share_report.telemetry.clauses_exported.into(),
-            ),
-            (
-                "clauses_imported".into(),
-                share_report.telemetry.clauses_imported.into(),
-            ),
-            (
-                "clauses_deduped".into(),
-                share_report.telemetry.clauses_deduped.into(),
-            ),
             ("lint_s".into(), lint_s.into()),
             ("absint_s".into(), absint_s.into()),
             ("absint_discharged".into(), absint_discharged.into()),
@@ -434,20 +405,15 @@ fn check_artifact(doc: &Value) -> Result<(), String> {
         row.get("instructions")
             .and_then(Value::as_u64)
             .ok_or_else(|| ctx("instructions"))?;
-        for key in ["sequential_s", "pooled_s", "speedup", "pooled_share_s", "lint_s"] {
+        for key in ["sequential_s", "pooled_s", "speedup", "lint_s"] {
             let v = row.get(key).and_then(Value::as_f64).ok_or_else(|| ctx(key))?;
             if !(v.is_finite() && v > 0.0) {
                 return Err(format!("{design}: {key} = {v} is not a positive time"));
             }
         }
-        for key in [
-            "batch_count",
-            "clauses_exported",
-            "clauses_imported",
-            "clauses_deduped",
-        ] {
-            row.get(key).and_then(Value::as_u64).ok_or_else(|| ctx(key))?;
-        }
+        row.get("batch_count")
+            .and_then(Value::as_u64)
+            .ok_or_else(|| ctx("batch_count"))?;
         // The static-analysis pass must stay sub-second per design.
         let lint_s = row.get("lint_s").and_then(Value::as_f64).expect("checked");
         if lint_s >= 1.0 {
@@ -576,8 +542,8 @@ fn check_artifact(doc: &Value) -> Result<(), String> {
     // The pool must pay for itself where it matters: on the two
     // slowest-sequential designs, pooled wall time may not exceed
     // sequential by more than the tolerance. Small designs are exempt
-    // (the adaptive threshold routes them to the sequential engine, so
-    // their ratio is ~1.0 by construction and any gap is noise).
+    // (the work threshold keeps them on one worker, so their ratio is
+    // ~1.0 by construction and any gap is noise).
     let mut by_seq: Vec<(&str, f64, f64)> = rows
         .iter()
         .map(|row| {

@@ -120,15 +120,8 @@ pub fn verify(flags: &[(String, String)]) -> CmdResult {
     let fault_plan = FaultPlan::from_env()
         .map_err(|e| format!("GILA_FAULT_PLAN: {e}"))?
         .map(Arc::new);
-    let defaults = VerifyOptions::default();
-    if flag(flags, "batch-ports").is_some() && flag(flags, "no-batch-ports").is_some() {
-        return Err("--batch-ports conflicts with --no-batch-ports".into());
-    }
-    let par_threshold = parse_u64("par-threshold")?.unwrap_or(defaults.par_threshold);
     let opts = VerifyOptions {
         stop_at_first_cex: flag(flags, "stop-at-first-cex").is_some(),
-        parallel: flag(flags, "parallel").is_some(),
-        incremental: flag(flags, "incremental").is_some(),
         jobs,
         tracer,
         budget,
@@ -137,9 +130,6 @@ pub fn verify(flags: &[(String, String)]) -> CmdResult {
         checkpoint: flag(flags, "checkpoint").map(PathBuf::from),
         resume: flag(flags, "resume").map(PathBuf::from),
         preprocess: flag(flags, "no-preprocess").is_none(),
-        batch_ports: flag(flags, "no-batch-ports").is_none(),
-        par_threshold,
-        share_clauses: flag(flags, "share-clauses").is_some(),
         absint: flag(flags, "no-absint").is_none(),
         ..VerifyOptions::default()
     };
@@ -265,11 +255,8 @@ fn print_stats_table(report: &ModuleReport) {
     );
     if report.telemetry.batches > 0 {
         println!(
-            "  avg batch size: {:.1}   clauses shared: {} exported / {} imported / {} deduped",
-            report.telemetry.instructions as f64 / report.telemetry.batches as f64,
-            report.telemetry.clauses_exported,
-            report.telemetry.clauses_imported,
-            report.telemetry.clauses_deduped
+            "  avg batch size: {:.1}",
+            report.telemetry.instructions as f64 / report.telemetry.batches as f64
         );
     }
     println!(

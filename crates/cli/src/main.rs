@@ -19,11 +19,10 @@ fn usage() -> ! {
 
 USAGE:
   gila verify    --ila SPEC.ila --rtl IMPL.v --map MAP.json [--map MAP2.json ...]
-                 [--stop-at-first-cex] [--parallel] [--incremental] [--jobs N]
+                 [--stop-at-first-cex] [--jobs N]
                  [--conflict-budget N] [--timeout-ms N] [--retries N]
                  [--checkpoint FILE] [--resume FILE] [--no-preprocess]
-                 [--no-absint] [--no-batch-ports] [--par-threshold N]
-                 [--share-clauses] [--vcd PREFIX] [--trace OUT.jsonl] [--stats]
+                 [--no-absint] [--vcd PREFIX] [--trace OUT.jsonl] [--stats]
   gila describe  --ila SPEC.ila [--format ila]
   gila synth     --ila SPEC.ila [-o OUT.v]
   gila check-inv --rtl IMPL.v --invariant EXPR [--invariant EXPR ...] [--depth K]
@@ -48,7 +47,7 @@ EXIT CODES:
   0  success (all properties hold / invariants proved / lint clean)
   1  a property failed, an invariant was refuted, or lint found an
      error-class or --deny'ed diagnostic
-  2  usage or input error
+  2  usage or input error (including a flag the subcommand does not take)
   3  undecided: at least one verdict is UNKNOWN (solve budget exhausted)
   4  internal error (a verification job panicked, or a checkpoint/
      scheduler failure); 4 beats 1 beats 3 when a run mixes outcomes
@@ -124,10 +123,13 @@ LINT OPTIONS:
                        target to OUT (JSONL)
 
 VERIFY OPTIONS:
+  --stop-at-first-cex  stop at the first counterexample (in declaration
+                       order on one worker)
   --jobs N             check instructions on a work-stealing pool of N
                        workers, each with a persistent incremental solver
-                       (0 = one per CPU, 1 = sequential); conflicts with
-                       --parallel
+                       per port (0 = one per CPU; default 1, which runs
+                       inline in declaration order); designs too small to
+                       repay a pool always run on one worker
   --spec SPEC.ila      alias for --ila; without --rtl/--map the spec is
                        checked against its own synthesized RTL (self-check)
   --conflict-budget N  give up on a solve after N SAT conflicts and report
@@ -147,16 +149,6 @@ VERIFY OPTIONS:
   --no-absint          skip the abstract-interpretation fixpoint and the
                        invariant lemmas it asserts before BMC; on by
                        default, proven-sound, and verdict-preserving
-  --batch-ports        batch pool jobs per port so one worker amortizes a
-                       single unrolling + blast across the whole port;
-                       on by default, --no-batch-ports reverts to one job
-                       per instruction for A/B comparison
-  --par-threshold N    route a pooled run to the persistent sequential
-                       engine when its estimated blast work is below N
-                       (0 = always pool; default tuned from bench data)
-  --share-clauses      exchange short learnt clauses between pool workers
-                       serving chunks of the same port; changes solver
-                       effort but never verdicts (off by default)
   --trace OUT          write a JSONL telemetry trace: one span per port,
                        instruction, SAT solve, CNF blast, and unroll event
   --stats              print a per-port solver/CNF/scheduling summary table"
@@ -164,54 +156,72 @@ VERIFY OPTIONS:
     std::process::exit(2)
 }
 
-/// Minimal flag parser: returns (positional, flags) where repeated flags
-/// accumulate.
-fn parse_args(args: &[String]) -> (Vec<String>, Vec<(String, String)>) {
+/// The flags each subcommand reads, space-separated; a trailing `=`
+/// marks a flag that takes a value. `None` for an unknown subcommand.
+/// Any other flag is a usage error, so a typo fails loudly instead of
+/// being silently ignored.
+fn known_flags(cmd: &str) -> Option<&'static str> {
+    Some(match cmd {
+        "verify" => {
+            "ila= spec= rtl= map= stop-at-first-cex jobs= conflict-budget= timeout-ms= \
+             retries= checkpoint= resume= no-preprocess no-absint vcd= trace= stats"
+        }
+        "describe" => "ila= format=",
+        "synth" => "ila= o=",
+        "check-inv" => "rtl= invariant= depth=",
+        "props" => "ila= map=",
+        "export" => "rtl= prop= o=",
+        "sim" => "rtl= ila= stimulus=",
+        "lint" => "all-designs rtl= json deny= jobs= no-absint trace=",
+        "hunt" => {
+            "design= all-designs buggy seeds= cycles= jobs= seed-base= no-shrink out= json \
+             trace= replay="
+        }
+        "serve" => {
+            "listen= socket= cache= cache-bytes= cache-entries= queue-cap= workers= jobs= \
+             deadline-ms= watchdog-factor= drain-ms= trace= fault="
+        }
+        "client" => {
+            "connect= socket= design= buggy no-cache deadline-ms= retries= seed= fault= stim= \
+             stats ping shutdown json"
+        }
+        _ => return None,
+    })
+}
+
+/// Minimal flag parser for subcommand `cmd` over its `known` flags (see
+/// [`known_flags`]): returns (positional, flags) where repeated flags
+/// accumulate. `--name` and `-name` are the same flag; one the
+/// subcommand does not read exits 2, naming it.
+fn parse_args(cmd: &str, known: &str, args: &[String]) -> (Vec<String>, Vec<(String, String)>) {
     let mut positional = Vec::new();
     let mut flags = Vec::new();
     let mut i = 0;
     while i < args.len() {
         let a = &args[i];
-        if let Some(name) = a.strip_prefix("--") {
-            // Boolean flags have no value; value flags consume the next arg.
-            if matches!(
-                name,
-                "stop-at-first-cex"
-                    | "parallel"
-                    | "incremental"
-                    | "stats"
-                    | "json"
-                    | "all-designs"
-                    | "buggy"
-                    | "no-shrink"
-                    | "no-preprocess"
-                    | "no-absint"
-                    | "batch-ports"
-                    | "no-batch-ports"
-                    | "share-clauses"
-                    | "no-cache"
-                    | "shutdown"
-                    | "ping"
-            ) {
-                flags.push((name.to_string(), String::new()));
-            } else {
-                i += 1;
-                let Some(v) = args.get(i) else {
-                    eprintln!("flag --{name} needs a value");
-                    std::process::exit(2);
-                };
-                flags.push((name.to_string(), v.clone()));
-            }
-        } else if let Some(name) = a.strip_prefix('-') {
+        let Some(name) = a.strip_prefix("--").or_else(|| a.strip_prefix('-')) else {
+            positional.push(a.clone());
+            i += 1;
+            continue;
+        };
+        let Some(spec) = known
+            .split_whitespace()
+            .find(|f| f.strip_suffix('=').unwrap_or(f) == name)
+        else {
+            eprintln!("gila {cmd}: unknown flag {a}");
+            std::process::exit(2);
+        };
+        let value = if spec.ends_with('=') {
             i += 1;
             let Some(v) = args.get(i) else {
-                eprintln!("flag -{name} needs a value");
+                eprintln!("flag {a} needs a value");
                 std::process::exit(2);
             };
-            flags.push((name.to_string(), v.clone()));
+            v.clone()
         } else {
-            positional.push(a.clone());
-        }
+            String::new()
+        };
+        flags.push((name.to_string(), value));
         i += 1;
     }
     (positional, flags)
@@ -220,7 +230,14 @@ fn parse_args(args: &[String]) -> (Vec<String>, Vec<(String, String)>) {
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some(cmd) = args.first() else { usage() };
-    let (positional, flags) = parse_args(&args[1..]);
+    if matches!(cmd.as_str(), "help" | "--help" | "-h") {
+        usage()
+    }
+    let Some(known) = known_flags(cmd) else {
+        eprintln!("unknown command {cmd:?}");
+        usage()
+    };
+    let (positional, flags) = parse_args(cmd, known, &args[1..]);
     let result = match cmd.as_str() {
         "verify" => commands::verify(&flags),
         "lint" => commands::lint(&positional, &flags),
@@ -233,11 +250,7 @@ fn main() -> ExitCode {
         "hunt" => commands::hunt(&flags),
         "serve" => serve_cmd::serve(&flags),
         "client" => serve_cmd::client(&flags),
-        "help" | "--help" | "-h" => usage(),
-        other => {
-            eprintln!("unknown command {other:?}");
-            usage()
-        }
+        _ => unreachable!("known_flags covers every command"),
     };
     match result {
         Ok(code) => ExitCode::from(code),

@@ -116,30 +116,21 @@ fn verify_with_jobs_pool_succeeds_on_correct_rtl() {
 }
 
 #[test]
-fn verify_rejects_conflicting_options_with_exit_code_2() {
-    let ws = Workspace::new("conflict");
+fn verify_rejects_unknown_flags_with_exit_code_2() {
+    let ws = Workspace::new("unknown_flags");
     let spec = ws.file("c.ila", SPEC);
     let rtl = ws.file("c.v", RTL_GOOD);
     let map = ws.file("m.json", MAP);
-    // Each conflicting pair must exit 2 and name both offending flags on
-    // stderr, so the user knows exactly what to drop.
-    for (extra, named) in [
-        (
-            ["--parallel", "--stop-at-first-cex"].as_slice(),
-            ["parallel", "stop_at_first_cex"].as_slice(),
-        ),
-        (
-            ["--parallel", "--incremental"].as_slice(),
-            ["parallel", "incremental"].as_slice(),
-        ),
-        (
-            ["--parallel", "--jobs", "4"].as_slice(),
-            ["parallel", "jobs"].as_slice(),
-        ),
-        (
-            ["--jobs", "4", "--incremental"].as_slice(),
-            ["incremental", "jobs"].as_slice(),
-        ),
+    // The removed scheduling flags and a typo must each exit 2 and name
+    // the flag on stderr, never be swallowed with the next argument.
+    for extra in [
+        ["--parallel"].as_slice(),
+        ["--incremental"].as_slice(),
+        ["--batch-ports"].as_slice(),
+        ["--no-batch-ports"].as_slice(),
+        ["--par-threshold", "0"].as_slice(),
+        ["--share-clauses"].as_slice(),
+        ["--no-preproces"].as_slice(),
     ] {
         let out = gila()
             .args(["verify", "--ila", &spec, "--rtl", &rtl, "--map", &map])
@@ -148,21 +139,17 @@ fn verify_rejects_conflicting_options_with_exit_code_2() {
             .expect("binary runs");
         assert_eq!(out.status.code(), Some(2), "{extra:?}");
         let stderr = String::from_utf8_lossy(&out.stderr);
-        assert!(stderr.contains("conflicting options"), "{stderr}");
-        for flag in named {
-            assert!(stderr.contains(flag), "{extra:?}: {flag} not named in {stderr}");
-        }
+        assert!(
+            stderr.contains(&format!("unknown flag {}", extra[0])),
+            "{extra:?}: flag not named in {stderr}"
+        );
     }
-    // jobs = 1 with --incremental is NOT a conflict: a one-worker pool
-    // degenerates to the shared sequential incremental engine.
+    // A flag another subcommand reads is still unknown to this one.
     let out = gila()
-        .args([
-            "verify", "--ila", &spec, "--rtl", &rtl, "--map", &map, "--jobs", "1",
-            "--incremental",
-        ])
+        .args(["describe", "--ila", &spec, "--jobs", "2"])
         .output()
         .expect("binary runs");
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert_eq!(out.status.code(), Some(2));
     // A malformed worker count is a usage error, not a crash.
     let out = gila()
         .args([

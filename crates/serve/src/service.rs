@@ -184,9 +184,6 @@ impl Service {
                 verdict.batch_size = 0;
                 verdict.stolen = false;
                 verdict.worker = None;
-                verdict.clauses_exported = 0;
-                verdict.clauses_imported = 0;
-                verdict.clauses_deduped = 0;
                 verdict.inprocess = Default::default();
                 decided.insert((sk.port.clone(), sk.instruction.clone()), verdict);
                 cache_hits += 1;

@@ -338,6 +338,9 @@ pub struct Telemetry {
     pub wall_ns: u64,
     pub queue_ns: u64,
     pub steals: u64,
+    /// Worker threads that served the run: the spawned pool size on a
+    /// multi-worker run, 1 on a one-worker run (which executes inline on
+    /// the calling thread). A gauge, so `merge` takes the max.
     pub workers: u64,
     /// Jobs whose final verdict was `Unknown` (budget exhausted).
     pub unknown: u64,
@@ -358,16 +361,9 @@ pub struct Telemetry {
     pub inprocess_lits_removed: u64,
     /// Level-0 units learned by failed-literal probing.
     pub inprocess_failed_literals: u64,
-    /// Distinct scheduler batches (pooled runs; 0 on the sequential
-    /// path, where the notion of a batch does not exist).
+    /// Distinct scheduler batches on a multi-worker run; 0 on a
+    /// one-worker run, whose single batch per port carries no id.
     pub batches: u64,
-    /// Learnt clauses published to the shared pool across all workers.
-    pub clauses_exported: u64,
-    /// Shared-pool clauses imported into worker solvers.
-    pub clauses_imported: u64,
-    /// Shared-pool clauses skipped by per-worker dedup (already seen or
-    /// self-published).
-    pub clauses_deduped: u64,
     /// Inductive invariants proved by the abstract interpreter and
     /// asserted as solver-level lemmas (summed over port plans).
     pub invariants_proved: u64,
@@ -407,9 +403,6 @@ impl Telemetry {
             inprocess_failed_literals: self.inprocess_failed_literals
                 + other.inprocess_failed_literals,
             batches: self.batches + other.batches,
-            clauses_exported: self.clauses_exported + other.clauses_exported,
-            clauses_imported: self.clauses_imported + other.clauses_imported,
-            clauses_deduped: self.clauses_deduped + other.clauses_deduped,
             invariants_proved: self.invariants_proved + other.invariants_proved,
             lints_discharged_static: self.lints_discharged_static
                 + other.lints_discharged_static,
@@ -453,9 +446,6 @@ impl Telemetry {
                 self.inprocess_failed_literals.into(),
             ),
             ("batches".into(), self.batches.into()),
-            ("clauses_exported".into(), self.clauses_exported.into()),
-            ("clauses_imported".into(), self.clauses_imported.into()),
-            ("clauses_deduped".into(), self.clauses_deduped.into()),
             ("invariants_proved".into(), self.invariants_proved.into()),
             (
                 "lints_discharged_static".into(),

@@ -14,8 +14,8 @@
 //!
 //! What the key deliberately does **not** cover is `VerifyOptions`:
 //! every current option is verdict-preserving on *decided* verdicts.
-//! Scheduling (`jobs`, `batch_ports`, `par_threshold`, `share_clauses`),
-//! preprocessing, and telemetry change solver effort, never answers;
+//! Scheduling (`jobs`), preprocessing, and telemetry change solver
+//! effort, never answers;
 //! budgets (`budget`, `retries`) change only *decidability*, and
 //! undecided verdicts (`unknown`, `panicked`) are never cached. If an
 //! option that can change a decided verdict is ever added (say, an

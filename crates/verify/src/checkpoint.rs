@@ -170,9 +170,6 @@ pub fn parse_journal_entry(entry: &Value) -> Result<JournalEntry, String> {
         batch_size: 0,
         queue_ns: 0,
         stolen: false,
-        clauses_exported: 0,
-        clauses_imported: 0,
-        clauses_deduped: 0,
         inprocess: Default::default(),
     };
     Ok(JournalEntry::Decided {
@@ -282,9 +279,6 @@ mod tests {
             batch_size: 0,
             queue_ns: 0,
             stolen: false,
-            clauses_exported: 0,
-            clauses_imported: 0,
-            clauses_deduped: 0,
             inprocess: Default::default(),
         }
     }

@@ -11,10 +11,12 @@
 //! trace, UNSAT is a proof for that instruction.
 //!
 //! Checks are planned per port ([`PortPlan`]: signal resolution and
-//! condition parsing happen once), then executed either sequentially or
-//! on the work-stealing pool in [`crate::scheduler`], where each worker
-//! owns a persistent unrolling and incremental solver so the blasted
-//! transition relation and learned clauses are paid once per worker.
+//! condition parsing happen once), then executed on the pool in
+//! [`crate::scheduler`] — a pool of one on the calling thread unless
+//! `jobs` asks for more and the run is big enough to repay it. Every
+//! engine is a persistent unrolling and incremental solver per port, so
+//! the blasted transition relation and learned clauses are paid once per
+//! (worker, port).
 
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
@@ -73,12 +75,6 @@ pub enum VerifyError {
     ),
     /// A finish bound of zero cycles was requested.
     BadBound,
-    /// The [`VerifyOptions`] combine settings that contradict each other
-    /// (e.g. the legacy `parallel` flag with `stop_at_first_cex`).
-    BadOptions {
-        /// Which combination is rejected and what to use instead.
-        reason: String,
-    },
     /// The RTL module is internally inconsistent (e.g. an init value
     /// whose sort does not match its register, or a next-state function
     /// for an undeclared signal).
@@ -122,7 +118,6 @@ impl fmt::Display for VerifyError {
             ),
             VerifyError::Verilog(e) => write!(f, "{e}"),
             VerifyError::BadBound => write!(f, "finish condition must allow at least one cycle"),
-            VerifyError::BadOptions { reason } => write!(f, "conflicting options: {reason}"),
             VerifyError::MalformedRtl { reason } => write!(f, "malformed RTL: {reason}"),
             VerifyError::Checkpoint { path, reason } => {
                 write!(f, "checkpoint {path}: {reason}")
@@ -283,13 +278,13 @@ pub struct InstrVerdict {
     /// Wall-clock time spent on this instruction.
     pub time: Duration,
     /// CNF size of the solver that served this instruction, measured
-    /// when its check finished (cumulative for shared/pooled engines).
+    /// when its check finished (cumulative over the engine's port).
     pub stats: BlastStats,
-    /// How much CNF this instruction *added* to its solver. On a
-    /// persistent engine (incremental mode or a pool worker) this drops
-    /// sharply after the first instruction: the blasted transition
-    /// relation is reused, so later instructions pay only for their
-    /// start conditions and post-state equalities.
+    /// How much CNF this instruction *added* to its solver. Engines are
+    /// persistent per port, so this drops sharply after the first
+    /// instruction an engine serves: the blasted transition relation is
+    /// reused, so later instructions pay only for their start
+    /// conditions and post-state equalities.
     pub cnf_growth: BlastStats,
     /// SAT-solver effort this instruction alone cost (per-instruction
     /// deltas of the shared solver's counters; `learnt_clauses` is the
@@ -301,36 +296,29 @@ pub struct InstrVerdict {
     /// first one exhausted its budget (0 when the first attempt decided
     /// the job or no budget was configured).
     pub retries: u32,
-    /// Pool worker that served this instruction (`None` when run
-    /// sequentially).
+    /// Pool worker that served this instruction on a multi-worker run;
+    /// `None` on a one-worker run, which executes inline on the calling
+    /// thread.
     pub worker: Option<usize>,
-    /// Scheduler batch this instruction was dispatched in (`None` when
-    /// run sequentially). Under port batching one work item carries a
-    /// whole port (or chunk of one), so `queue_ns` and `stolen` below
-    /// describe the *batch*, not the individual instruction; the batch
-    /// id lets `--stats` queue-latency rows aggregate per dispatch
-    /// instead of multiply-counting one pickup.
+    /// Scheduler batch this instruction was dispatched in on a
+    /// multi-worker run; `None` on a one-worker run, where each port is
+    /// one batch. One work item carries a whole port (or a chunk of
+    /// one), so `queue_ns` and `stolen` below describe the *batch*, not
+    /// the individual instruction; the batch id lets `--stats`
+    /// queue-latency rows aggregate per dispatch instead of
+    /// multiply-counting one pickup.
     pub batch_id: Option<u64>,
-    /// Number of instructions in this verdict's batch (0 when run
-    /// sequentially, 1 when batching is off).
+    /// Number of instructions in this verdict's batch (0 on a one-worker
+    /// run).
     pub batch_size: u64,
     /// Time this verdict's *batch* spent queued before a worker picked
-    /// it up, in nanoseconds (zero when run sequentially). Shared by
-    /// every verdict of the batch.
+    /// it up, in nanoseconds (zero on a one-worker run). Shared by every
+    /// verdict of the batch.
     pub queue_ns: u64,
     /// Whether this verdict's *batch* was stolen from a peer's deque
     /// rather than taken from the worker's own queue or the global
     /// injector. Shared by every verdict of the batch.
     pub stolen: bool,
-    /// Learnt clauses this instruction's worker published to the shared
-    /// clause pool after the check (0 unless `--share-clauses`).
-    pub clauses_exported: u64,
-    /// Shared-pool clauses imported into the worker's solver after the
-    /// check (0 unless `--share-clauses`).
-    pub clauses_imported: u64,
-    /// Shared-pool clauses skipped by the worker's dedup filter —
-    /// already imported earlier or published by the worker itself.
-    pub clauses_deduped: u64,
     /// What the inprocessing pass run after this job reclaimed from the
     /// shared clause database (all-zero when preprocessing is off or
     /// the pass found nothing).
@@ -344,7 +332,8 @@ pub struct PortReport {
     pub port: String,
     /// One verdict per atomic instruction, in declaration order.
     pub verdicts: Vec<InstrVerdict>,
-    /// Total wall-clock time.
+    /// Wall-clock time from the pickup of the port's first batch to its
+    /// last verdict (zero when every verdict was resumed).
     pub total_time: Duration,
     /// Peak CNF size over all queries (the "memory usage" proxy).
     pub peak_stats: BlastStats,
@@ -424,8 +413,10 @@ pub struct ModuleReport {
     /// One report per port.
     pub ports: Vec<PortReport>,
     /// Aggregated totals across all ports (counters sum; `workers` is
-    /// the number of pool workers spawned, 1 for sequential runs).
+    /// the number of workers that served the run, 1 on a one-worker run).
     pub telemetry: Telemetry,
+    /// Measured wall-clock time of the whole run, set-up included.
+    pub wall_time: Duration,
 }
 
 impl ModuleReport {
@@ -443,9 +434,10 @@ impl ModuleReport {
         c
     }
 
-    /// Total wall-clock time across ports.
+    /// Wall-clock time of the whole run. Ports that overlapped on a pool
+    /// count once, not once per port.
     pub fn total_time(&self) -> Duration {
-        self.ports.iter().map(|p| p.total_time).sum()
+        self.wall_time
     }
 
     /// Component-wise peak CNF size across ports.
@@ -480,27 +472,20 @@ impl ModuleReport {
 /// Options controlling a verification run.
 #[derive(Clone, Debug)]
 pub struct VerifyOptions {
-    /// Stop a port's run at the first counterexample (used for the
-    /// "Time (bug)" measurement). Under a worker pool (`jobs`) this
-    /// cancels outstanding work as soon as any worker finds one.
+    /// Stop the run at the first counterexample (used for the
+    /// "Time (bug)" measurement). A one-worker run stops at the first
+    /// one in declaration order; a multi-worker pool cancels
+    /// outstanding work as soon as any worker finds one.
     pub stop_at_first_cex: bool,
-    /// Legacy flag: check a port's instructions on parallel threads.
-    /// Now served by a bounded worker pool; conflicts with
-    /// `stop_at_first_cex`, `incremental`, and `jobs` (a
-    /// [`VerifyError::BadOptions`] error). Prefer `jobs`.
-    pub parallel: bool,
-    /// Share one incremental SAT solver (and one unrolling) across all
-    /// of a port's instructions, discharging each property under
-    /// assumptions so learned clauses and the blasted transition
-    /// relation are reused. Pool workers (`jobs` ≥ 2) are always
-    /// incremental in this sense; with `jobs = Some(1)` this picks the
-    /// shared-engine sequential path.
-    pub incremental: bool,
-    /// Size of the work-stealing verification pool:
-    /// `None` — legacy behavior (sequential, or `parallel`/`incremental`
-    /// if set); `Some(0)` — one worker per available CPU;
-    /// `Some(1)` — sequential; `Some(n)` — a pool of exactly `n`
-    /// workers, each owning a persistent unrolling + incremental solver.
+    /// Size of the work-stealing verification pool: `None` and
+    /// `Some(1)` — one worker; `Some(0)` — one worker per available
+    /// CPU; `Some(n)` — `n` workers. Each worker owns a persistent
+    /// unrolling + incremental solver per port it serves. A run whose
+    /// estimated blast work is below [`PAR_THRESHOLD`] uses one worker
+    /// whatever this asks for: the pool cannot win back its spawn and
+    /// duplicate-blast cost on designs that small. A one-worker run
+    /// executes the same worker loop inline on the calling thread, in
+    /// declaration order, with one engine per port.
     pub jobs: Option<usize>,
     /// Telemetry tracer; every unroll/blast/solve/instruction/port
     /// event of the run is emitted through it. Defaults to the
@@ -528,30 +513,9 @@ pub struct VerifyOptions {
     /// Formula preprocessing (on by default; `--no-preprocess` for A/B
     /// comparisons): cone-of-influence slicing of the transition system
     /// per port plan, cached expression simplification before blasting,
-    /// persistent per-port solver reuse on the sequential path, and a
-    /// bounded SAT inprocessing pass between instructions.
+    /// and a bounded SAT inprocessing pass between instructions. Off,
+    /// the run still uses the same pool and persistent engines.
     pub preprocess: bool,
-    /// Batch pool jobs per port (on by default; `--no-batch-ports` for
-    /// A/B comparisons): one work item carries a whole `PortPlan` — or
-    /// a chunk of one when the port has more instructions than the
-    /// pool can otherwise keep busy — so a single worker amortizes one
-    /// unrolling + blast across the port instead of paying it per
-    /// instruction. Off, the pool reverts to one job per
-    /// `(port, instruction)` pair.
-    pub batch_ports: bool,
-    /// Adaptive sequential fallback: a pooled run whose estimated blast
-    /// work ([`ctx.dag_size`](gila_expr::ExprCtx::dag_size) of each
-    /// port's sliced frame logic times its unroll depth) falls below
-    /// this threshold routes to the persistent sequential engine
-    /// instead, so small designs never pay pool overhead. `0` disables
-    /// the fallback (always pool when `jobs` asks for one).
-    pub par_threshold: u64,
-    /// Exchange short learnt clauses between pool workers serving the
-    /// same port (off by default): workers publish activation-free
-    /// learnt clauses over the port's shared CNF prefix to a
-    /// lock-striped pool between instructions and import what peers
-    /// published. Changes solver effort, never verdicts.
-    pub share_clauses: bool,
     /// External cancellation: when this token is cancelled (by a
     /// disconnecting client, a watchdog, or any other supervisor), every
     /// engine of the run fast-fails its remaining solves with
@@ -580,8 +544,6 @@ impl Default for VerifyOptions {
     fn default() -> Self {
         VerifyOptions {
             stop_at_first_cex: false,
-            parallel: false,
-            incremental: false,
             jobs: None,
             tracer: Tracer::default(),
             budget: SolveBudget::default(),
@@ -590,9 +552,6 @@ impl Default for VerifyOptions {
             checkpoint: None,
             resume: None,
             preprocess: true,
-            batch_ports: true,
-            par_threshold: DEFAULT_PAR_THRESHOLD,
-            share_clauses: false,
             cancel: None,
             decided: HashMap::new(),
             absint: true,
@@ -600,17 +559,17 @@ impl Default for VerifyOptions {
     }
 }
 
-/// Default for [`VerifyOptions::par_threshold`], tuned on the bundled
-/// case studies (`BENCH_verify.json`): designs whose estimated blast
-/// work sits below this run faster on the persistent sequential engine
-/// than on a pool, because their solve time is too small to amortize
-/// worker spawn + per-worker blast duplication. On the bundled designs
-/// the split is wide — the control-dominated modules (decoder, AXI,
-/// memory interface, L2 cache) estimate below ~17.5k weighted clause
-/// groups and lose time on the pool, while the solver-bound ones
-/// (store buffer, NoC router, datapath) estimate above ~19k and gain
-/// 1.2-1.6x from it.
-pub const DEFAULT_PAR_THRESHOLD: u64 = 18_000;
+/// Minimum summed [`estimate_port_work`] of a run before it uses more
+/// than one worker, tuned on the bundled case studies
+/// (`BENCH_verify.json`): designs whose estimated blast work sits below
+/// this run faster on one worker than on a pool, because their solve
+/// time is too small to amortize worker spawn + per-worker blast
+/// duplication. On the bundled designs the split is wide — the
+/// control-dominated modules (decoder, AXI, memory interface, L2 cache)
+/// estimate below ~17.5k weighted clause groups and lose time on the
+/// pool, while the solver-bound ones (store buffer, NoC router,
+/// datapath) estimate above ~19k and gain 1.2-1.6x from it.
+pub const PAR_THRESHOLD: u64 = 18_000;
 
 /// The per-job knobs a scheduler threads through to every check.
 #[derive(Clone, Default)]
@@ -702,9 +661,9 @@ pub(crate) struct JobMeta {
     pub(crate) worker: Option<usize>,
     pub(crate) queue_ns: u64,
     pub(crate) stolen: bool,
-    /// Scheduler batch the job was dispatched in (pool runs only).
+    /// Scheduler batch the job was dispatched in (multi-worker runs only).
     pub(crate) batch_id: Option<u64>,
-    /// Instructions in the batch (0 on the sequential path).
+    /// Instructions in the batch (0 on a one-worker run).
     pub(crate) batch_size: u64,
 }
 
@@ -1091,8 +1050,8 @@ pub(crate) fn check_instruction_planned(
             .field("wall_ns", time.as_nanos() as u64)
             .field("queue_ns", meta.queue_ns)
             .field("steals", meta.stolen as u64);
-        // Batch fields only exist on pooled runs, so sequential golden
-        // traces are unchanged.
+        // Batch fields only exist on multi-worker runs, so one-worker
+        // golden traces carry no scheduling detail.
         if let Some(batch) = meta.batch_id {
             ev = ev.field("batch_id", batch).field("batch_size", meta.batch_size);
         }
@@ -1112,9 +1071,6 @@ pub(crate) fn check_instruction_planned(
         batch_size: meta.batch_size,
         queue_ns: meta.queue_ns,
         stolen: meta.stolen,
-        clauses_exported: 0,
-        clauses_imported: 0,
-        clauses_deduped: 0,
         inprocess: InprocessStats::default(),
     })
 }
@@ -1202,9 +1158,6 @@ pub(crate) fn run_job_guarded(
                 batch_size: meta.batch_size,
                 queue_ns: meta.queue_ns,
                 stolen: meta.stolen,
-                clauses_exported: 0,
-                clauses_imported: 0,
-                clauses_deduped: 0,
                 inprocess: InprocessStats::default(),
             })
         }
@@ -1525,120 +1478,17 @@ fn record_solve(
     });
 }
 
-/// How a run executes after option validation.
-enum ExecMode {
-    Sequential { incremental: bool },
-    Pool { workers: usize },
-}
-
-fn validate_options(opts: &VerifyOptions) -> Result<(), VerifyError> {
-    let bad = |reason: &str| {
-        Err(VerifyError::BadOptions {
-            reason: reason.to_string(),
-        })
-    };
-    if opts.parallel && opts.stop_at_first_cex {
-        return bad(
-            "`parallel` with `stop_at_first_cex` — first-cex timing needs declaration \
-             order; use `jobs` for a pool that cancels on the first counterexample",
-        );
+/// Workers for a run whose summed [`estimate_port_work`] is `work` —
+/// the pool size [`VerifyOptions::jobs`] documents.
+fn worker_count(jobs: Option<usize>, work: u64) -> usize {
+    match jobs {
+        _ if work < PAR_THRESHOLD => 1,
+        None => 1,
+        Some(0) => std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1),
+        Some(n) => n,
     }
-    if opts.parallel && opts.incremental {
-        return bad(
-            "`parallel` with `incremental` — the legacy mode cannot share a solver \
-             across threads; use `jobs`, whose workers are incremental by construction",
-        );
-    }
-    if opts.parallel && opts.jobs.is_some() {
-        return bad("`parallel` with `jobs` — `jobs` supersedes `parallel`; set only `jobs`");
-    }
-    if opts.incremental && matches!(opts.jobs, Some(n) if n != 1) {
-        return bad(
-            "`incremental` with a multi-worker `jobs` pool — pool workers are already \
-             incremental by construction; drop `incremental` or set `jobs` to 1",
-        );
-    }
-    Ok(())
-}
-
-fn resolve_mode(opts: &VerifyOptions, total_jobs: usize) -> ExecMode {
-    match opts.jobs {
-        Some(1) => ExecMode::Sequential {
-            incremental: opts.incremental,
-        },
-        Some(0) => ExecMode::Pool {
-            workers: default_workers(),
-        },
-        Some(n) => ExecMode::Pool { workers: n },
-        None if opts.parallel && total_jobs > 1 => ExecMode::Pool {
-            workers: default_workers(),
-        },
-        None => ExecMode::Sequential {
-            incremental: opts.incremental,
-        },
-    }
-}
-
-fn default_workers() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-}
-
-/// Runs a port's instructions in declaration order: one throwaway
-/// engine per instruction, or (incremental) one engine for all of them.
-/// Jobs decided by a resumed checkpoint are not re-run; a panicking job
-/// is isolated ([`run_job_guarded`]) and, in incremental mode, costs
-/// only a rebuild of the shared engine.
-fn run_port_sequential(
-    plan: &PortPlan<'_>,
-    ts: &TransitionSystem,
-    incremental: bool,
-    stop_at_first_cex: bool,
-    ctx: &RunCtx<'_>,
-) -> Result<Vec<InstrVerdict>, VerifyError> {
-    let mut shared: Option<WorkerEngine> = None;
-    let mut verdicts = Vec::new();
-    for idx in 0..plan.instrs.len() {
-        let instr_name = &plan.port.instructions()[idx].name;
-        let v = match ctx.resumed_verdict(plan.port.name(), instr_name) {
-            Some(v) => v,
-            None => {
-                let mut own = None;
-                // Preprocessing implies the shared persistent engine:
-                // structural CNF sharing across a port's instructions
-                // is the point of keeping one solver alive.
-                let slot = if incremental || ctx.policy.preprocess {
-                    &mut shared
-                } else {
-                    &mut own
-                };
-                let v = run_job_guarded(
-                    plan,
-                    idx,
-                    slot,
-                    || {
-                        let mut e = WorkerEngine::new(ts, ctx.tracer);
-                        if let Some(tok) = &ctx.policy.cancel {
-                            e.smt.set_cancel(tok.clone());
-                        }
-                        e
-                    },
-                    ctx.tracer,
-                    JobMeta::default(),
-                    &ctx.policy,
-                )?;
-                ctx.record_checkpoint(plan.port.name(), &v);
-                v
-            }
-        };
-        let is_cex = matches!(v.result, CheckResult::CounterExample(_));
-        verdicts.push(v);
-        if is_cex && stop_at_first_cex {
-            break;
-        }
-    }
-    Ok(verdicts)
 }
 
 fn peak_of(verdicts: &[InstrVerdict]) -> BlastStats {
@@ -1650,7 +1500,7 @@ fn peak_of(verdicts: &[InstrVerdict]) -> BlastStats {
 }
 
 /// Sums a verdict slice into the telemetry totals; `workers` counts the
-/// distinct pool workers that appear (1 for purely sequential runs).
+/// distinct pool workers that appear (1 on a one-worker run).
 fn telemetry_of(verdicts: &[InstrVerdict]) -> Telemetry {
     let mut t = Telemetry::default();
     let mut workers: Vec<usize> = Vec::new();
@@ -1674,9 +1524,6 @@ fn telemetry_of(verdicts: &[InstrVerdict]) -> Telemetry {
             t.queue_ns += v.queue_ns;
             t.steals += v.stolen as u64;
         }
-        t.clauses_exported += v.clauses_exported;
-        t.clauses_imported += v.clauses_imported;
-        t.clauses_deduped += v.clauses_deduped;
         t.instructions += 1;
         t.solves += v.solves;
         t.decisions += v.effort.decisions;
@@ -1715,9 +1562,8 @@ fn telemetry_of(verdicts: &[InstrVerdict]) -> Telemetry {
 /// functions plus invariant constraints) weighted by its approximate
 /// clause contribution, times the deepest unroll any instruction
 /// needs, scaled by the instruction count (the number of solve
-/// obligations the pool could parallelize). Compared against
-/// [`VerifyOptions::par_threshold`] to route small modules to the
-/// persistent sequential engine.
+/// obligations the pool could parallelize). A run whose summed estimate
+/// is below [`PAR_THRESHOLD`] uses one worker.
 ///
 /// The weights mirror `gila_smt::Blaster`: linear bit-vector ops cost
 /// one clause group per output bit, multiplication and division build
@@ -1810,27 +1656,23 @@ fn coi_roots(
     roots
 }
 
-/// Slices `ts` to the union cone of `plans` and emits a `coi` span.
-/// Returns the system unchanged when `preprocess` is off.
+/// Slices `ts` to the cone of `plan` and emits a `coi` span. Returns
+/// the system unchanged when `preprocess` is off.
 fn coi_preprocess(
     ts: TransitionSystem,
     ts_signals: &BTreeMap<String, ExprRef>,
-    plans: &[&PortPlan<'_>],
-    scope: &str,
+    plan: &PortPlan<'_>,
     preprocess: bool,
     tracer: &Tracer,
 ) -> (TransitionSystem, Option<CoiStats>) {
     if !preprocess {
         return (ts, None);
     }
-    let mut roots = Vec::new();
-    for plan in plans {
-        roots.extend(coi_roots(plan, &ts, ts_signals));
-    }
+    let roots = coi_roots(plan, &ts, ts_signals);
     let (sliced, stats) = coi_slice(&ts, &roots);
     tracer.record(|| {
         Event::new(SpanKind::Coi)
-            .port(scope)
+            .port(plan.port.name())
             .field("states_kept", stats.states_kept as u64)
             .field("states_dropped", stats.states_dropped as u64)
             .field("inputs_kept", stats.inputs_kept as u64)
@@ -1842,28 +1684,26 @@ fn coi_preprocess(
 /// Minimum [`estimate_port_work`] before the invariant-lemma pass is
 /// worth running: on millisecond-scale ports the whole verification
 /// finishes in less time than the fixpoint, so the lemmas can never
-/// repay their cost. The cutoff reuses [`DEFAULT_PAR_THRESHOLD`] — the
+/// repay their cost. The cutoff reuses [`PAR_THRESHOLD`] — the
 /// same estimate already separates the bundled control-dominated
 /// designs (≤17.5k, where solves are trivial) from the solver-bound
 /// ones (≥19k, where the lemmas showed 1.05–1.14x). Skipping is purely
 /// a scheduling decision: the lemmas are redundant consequences of the
 /// transition relation, so verdicts are identical either way.
-const ABSINT_WORK_THRESHOLD: u64 = DEFAULT_PAR_THRESHOLD;
+const ABSINT_WORK_THRESHOLD: u64 = PAR_THRESHOLD;
 
 /// Runs the `gila-absint` widening fixpoint over a port's (sliced)
 /// transition system and attaches the proven invariants to the plan as
 /// one lemma conjunction, interned in the system's own context so
 /// [`Unrolling::map_expr`] can instantiate it per frame. Emits an
-/// `absint` span; a no-op when `enabled` is off or the port's
-/// estimated solver work is too small to repay the fixpoint
-/// ([`ABSINT_WORK_THRESHOLD`]).
+/// `absint` span; a no-op when `enabled` is off.
 fn absint_preprocess(
     plan: &mut PortPlan<'_>,
     ts: &mut TransitionSystem,
     enabled: bool,
     tracer: &Tracer,
 ) {
-    if !enabled || estimate_port_work(plan, ts) < ABSINT_WORK_THRESHOLD {
+    if !enabled {
         return;
     }
     let t0 = Instant::now();
@@ -1907,246 +1747,146 @@ fn record_port_span(tracer: &Tracer, report: &PortReport) {
 ///
 /// # Errors
 ///
-/// Returns a [`VerifyError`] for malformed refinement maps or
-/// conflicting options; property *failures* are reported in the
-/// [`PortReport`], not as errors.
+/// Returns a [`VerifyError`] for malformed refinement maps; property
+/// *failures* are reported in the [`PortReport`], not as errors.
 pub fn verify_port(
     port: &PortIla,
     rtl: &RtlModule,
     map: &RefinementMap,
     opts: &VerifyOptions,
 ) -> Result<PortReport, VerifyError> {
-    validate_options(opts)?;
-    let ctx = RunCtx::from_opts(opts)?;
-    verify_port_with(port, rtl, map, opts, &ctx)
-}
-
-/// [`verify_port`] against an existing run context, so a module run
-/// shares one checkpoint writer and resume set across its ports.
-fn verify_port_with(
-    port: &PortIla,
-    rtl: &RtlModule,
-    map: &RefinementMap,
-    opts: &VerifyOptions,
-    ctx: &RunCtx<'_>,
-) -> Result<PortReport, VerifyError> {
-    let start_all = Instant::now();
-    let (ts, ts_signals) = rtl_to_ts(rtl)?;
-    let mut plan = PortPlan::build(port, rtl, map, &ts_signals)?;
-    let (mut ts, coi) = coi_preprocess(
-        ts,
-        &ts_signals,
-        &[&plan],
-        port.name(),
-        opts.preprocess,
-        &opts.tracer,
-    );
-    absint_preprocess(&mut plan, &mut ts, opts.absint, &opts.tracer);
-    let verdicts = match resolve_mode(opts, plan.instrs.len()) {
-        ExecMode::Sequential { incremental } => {
-            run_port_sequential(&plan, &ts, incremental, opts.stop_at_first_cex, ctx)?
-        }
-        // Adaptive fallback: a port whose estimated blast work is below
-        // the threshold runs on the persistent sequential engine — the
-        // pool cannot win back its spawn + duplicate-blast overhead on
-        // designs this small.
-        ExecMode::Pool { .. }
-            if opts.par_threshold > 0
-                && estimate_port_work(&plan, &ts) < opts.par_threshold =>
-        {
-            run_port_sequential(&plan, &ts, true, opts.stop_at_first_cex, ctx)?
-        }
-        ExecMode::Pool { workers } => {
-            let outcome = crate::scheduler::run_pool(
-                std::slice::from_ref(&plan),
-                std::slice::from_ref(&ts),
-                crate::scheduler::PoolConfig {
-                    workers,
-                    stop_at_first_cex: opts.stop_at_first_cex,
-                    batch_ports: opts.batch_ports,
-                    share_clauses: opts.share_clauses,
-                },
-                ctx,
-            )?;
-            let port_result = outcome.ports.into_iter().next().ok_or_else(|| {
-                VerifyError::Internal {
-                    reason: "pool returned no result for the submitted plan".to_string(),
-                }
-            })?;
-            port_result.verdicts.into_iter().map(|(_, v)| v).collect()
-        }
-    };
-    let mut telemetry = telemetry_of(&verdicts);
-    add_coi_telemetry(&mut telemetry, coi);
-    telemetry.invariants_proved += plan.invariants_proved;
-    let report = PortReport {
-        port: port.name().to_string(),
-        peak_stats: peak_of(&verdicts),
-        telemetry,
-        verdicts,
-        total_time: start_all.elapsed(),
-    };
-    record_port_span(&opts.tracer, &report);
-    opts.tracer.flush();
-    Ok(report)
+    run(port.name(), &[(port, map)], rtl, opts)?
+        .ports
+        .pop()
+        .ok_or_else(|| VerifyError::Internal {
+            reason: "the run reported no port".to_string(),
+        })
 }
 
 /// Verifies a whole module-ILA: each port against the same RTL, using
 /// the refinement map with the matching name (falling back to a map
 /// named `"*"`).
 ///
-/// Under a worker pool (`jobs`), all ports' instructions are flattened
-/// into one global job queue so workers stay busy across port
-/// boundaries and their cached CNF serves every port.
+/// All ports' instructions go into one global job queue, so on a
+/// multi-worker run workers stay busy across port boundaries.
 ///
 /// # Errors
 ///
-/// Returns a [`VerifyError`] if a port has no refinement map, a map is
-/// malformed, or the options conflict.
+/// Returns a [`VerifyError`] if a port has no refinement map or a map
+/// is malformed.
 pub fn verify_module(
     module: &ModuleIla,
     rtl: &RtlModule,
     maps: &[RefinementMap],
     opts: &VerifyOptions,
 ) -> Result<ModuleReport, VerifyError> {
-    validate_options(opts)?;
-    let map_for = |port: &PortIla| -> Result<&RefinementMap, VerifyError> {
-        maps.iter()
-            .find(|m| m.name == port.name())
-            .or_else(|| maps.iter().find(|m| m.name == "*"))
-            .ok_or_else(|| VerifyError::UnknownRtlSignal {
-                signal: port.name().to_string(),
-                context: "no refinement map for port".to_string(),
-            })
-    };
-    let total_jobs: usize = module.ports().iter().map(|p| p.instructions().len()).sum();
+    let ports = module
+        .ports()
+        .iter()
+        .map(|port| {
+            maps.iter()
+                .find(|m| m.name == port.name())
+                .or_else(|| maps.iter().find(|m| m.name == "*"))
+                .map(|map| (port, map))
+                .ok_or_else(|| VerifyError::UnknownRtlSignal {
+                    signal: port.name().to_string(),
+                    context: "no refinement map for port".to_string(),
+                })
+        })
+        .collect::<Result<Vec<_>, _>>()?;
+    run(module.name(), &ports, rtl, opts)
+}
+
+/// The one execution path behind [`verify_port`] and [`verify_module`]:
+/// one [`rtl_to_ts`], then per port a plan, its own cone-of-influence
+/// slice and its absint lemmas, then [`crate::scheduler::run_pool`] at
+/// the worker count [`worker_count`] picks from the summed work
+/// estimate.
+fn run(
+    name: &str,
+    ports: &[(&PortIla, &RefinementMap)],
+    rtl: &RtlModule,
+    opts: &VerifyOptions,
+) -> Result<ModuleReport, VerifyError> {
+    let t0 = Instant::now();
     let ctx = RunCtx::from_opts(opts)?;
-    let mut pool_workers = None;
-    let mut module_coi: Vec<Option<CoiStats>> = Vec::new();
-    let ports = match resolve_mode(opts, total_jobs) {
-        ExecMode::Sequential { .. } => {
-            let mut ports = Vec::new();
-            for port in module.ports() {
-                let report = verify_port_with(port, rtl, map_for(port)?, opts, &ctx)?;
-                let has_cex = report.first_counterexample().is_some();
-                ports.push(report);
-                if has_cex && opts.stop_at_first_cex {
-                    break;
-                }
-            }
-            ports
+    let (ts, ts_signals) = rtl_to_ts(rtl)?;
+    let mut plans = Vec::with_capacity(ports.len());
+    let mut tss = Vec::with_capacity(ports.len());
+    let mut cois = Vec::with_capacity(ports.len());
+    let mut work = 0u64;
+    for &(port, map) in ports {
+        let mut plan = PortPlan::build(port, rtl, map, &ts_signals)?;
+        let (mut sliced, coi) = coi_preprocess(
+            ts.clone(),
+            &ts_signals,
+            &plan,
+            opts.preprocess,
+            &opts.tracer,
+        );
+        let estimate = estimate_port_work(&plan, &sliced);
+        let absint = opts.absint && estimate >= ABSINT_WORK_THRESHOLD;
+        absint_preprocess(&mut plan, &mut sliced, absint, &opts.tracer);
+        work = work.saturating_add(estimate);
+        plans.push(plan);
+        tss.push(sliced);
+        cois.push(coi);
+    }
+    let outcome = crate::scheduler::run_pool(
+        &plans,
+        &tss,
+        crate::scheduler::PoolConfig {
+            workers: worker_count(opts.jobs, work),
+            stop_at_first_cex: opts.stop_at_first_cex,
+        },
+        &ctx,
+    )?;
+    Ok(build_report(name, &plans, cois, outcome, t0, &opts.tracer))
+}
+
+/// Builds a run's report from the pool's outcome — the one place a
+/// [`PortReport`] is made. Ports stay in declaration order; after a
+/// stop at the first counterexample, ports the run never reached are
+/// left out. Each port's telemetry carries its own slicing counters, so
+/// port and module totals agree at any worker count.
+fn build_report(
+    name: &str,
+    plans: &[PortPlan<'_>],
+    cois: Vec<Option<CoiStats>>,
+    outcome: crate::scheduler::PoolOutcome,
+    t0: Instant,
+    tracer: &Tracer,
+) -> ModuleReport {
+    let mut ports = Vec::with_capacity(plans.len());
+    for ((plan, coi), result) in plans.iter().zip(cois).zip(outcome.ports) {
+        if outcome.stopped && result.verdicts.is_empty() {
+            continue;
         }
-        ExecMode::Pool { workers } => {
-            let (ts, ts_signals) = rtl_to_ts(rtl)?;
-            let mut plans = Vec::new();
-            for port in module.ports() {
-                plans.push(PortPlan::build(port, rtl, map_for(port)?, &ts_signals)?);
-            }
-            // Slice per port — the same tight cones the sequential path
-            // gets — so a worker serving a port blasts only that port's
-            // logic instead of the union cone of the whole module.
-            let mut tss = Vec::with_capacity(plans.len());
-            for plan in plans.iter_mut() {
-                let (mut sliced, coi) = coi_preprocess(
-                    ts.clone(),
-                    &ts_signals,
-                    &[&*plan],
-                    plan.port.name(),
-                    opts.preprocess,
-                    &opts.tracer,
-                );
-                absint_preprocess(plan, &mut sliced, opts.absint, &opts.tracer);
-                tss.push(sliced);
-                module_coi.push(coi);
-            }
-            let estimate: u64 = plans
-                .iter()
-                .zip(&tss)
-                .map(|(p, t)| estimate_port_work(p, t))
-                .sum();
-            if opts.par_threshold > 0 && estimate < opts.par_threshold {
-                // Adaptive fallback: too small for the pool to win back
-                // its spawn + duplicate-blast overhead. One persistent
-                // sequential engine per port, ports in declaration order.
-                let mut ports = Vec::new();
-                for (plan, pts) in plans.iter().zip(&tss) {
-                    let t0 = Instant::now();
-                    let verdicts = run_port_sequential(
-                        plan,
-                        pts,
-                        true,
-                        opts.stop_at_first_cex,
-                        &ctx,
-                    )?;
-                    let mut telemetry = telemetry_of(&verdicts);
-                    telemetry.invariants_proved += plan.invariants_proved;
-                    let report = PortReport {
-                        port: plan.port.name().to_string(),
-                        peak_stats: peak_of(&verdicts),
-                        telemetry,
-                        verdicts,
-                        total_time: t0.elapsed(),
-                    };
-                    record_port_span(&opts.tracer, &report);
-                    let has_cex = report.first_counterexample().is_some();
-                    ports.push(report);
-                    if has_cex && opts.stop_at_first_cex {
-                        break;
-                    }
-                }
-                ports
-            } else {
-                let outcome = crate::scheduler::run_pool(
-                    &plans,
-                    &tss,
-                    crate::scheduler::PoolConfig {
-                        workers,
-                        stop_at_first_cex: opts.stop_at_first_cex,
-                        batch_ports: opts.batch_ports,
-                        share_clauses: opts.share_clauses,
-                    },
-                    &ctx,
-                )?;
-                pool_workers = Some(outcome.workers_spawned as u64);
-                module
-                    .ports()
-                    .iter()
-                    .zip(outcome.ports)
-                    .zip(&plans)
-                    .map(|((port, pr), plan)| {
-                        let verdicts: Vec<InstrVerdict> =
-                            pr.verdicts.into_iter().map(|(_, v)| v).collect();
-                        let mut telemetry = telemetry_of(&verdicts);
-                        telemetry.invariants_proved += plan.invariants_proved;
-                        let report = PortReport {
-                            port: port.name().to_string(),
-                            peak_stats: peak_of(&verdicts),
-                            telemetry,
-                            verdicts,
-                            total_time: pr.last_done,
-                        };
-                        record_port_span(&opts.tracer, &report);
-                        report
-                    })
-                    .collect()
-            }
-        }
-    };
+        let verdicts: Vec<InstrVerdict> = result.verdicts.into_iter().map(|(_, v)| v).collect();
+        let mut telemetry = telemetry_of(&verdicts);
+        add_coi_telemetry(&mut telemetry, coi);
+        telemetry.invariants_proved += plan.invariants_proved;
+        let report = PortReport {
+            port: plan.port.name().to_string(),
+            peak_stats: peak_of(&verdicts),
+            telemetry,
+            verdicts,
+            total_time: result.busy,
+        };
+        record_port_span(tracer, &report);
+        ports.push(report);
+    }
     let mut telemetry = ports
         .iter()
         .fold(Telemetry::default(), |acc, p| acc.merge(&p.telemetry));
-    for coi in module_coi {
-        add_coi_telemetry(&mut telemetry, coi);
-    }
-    if let Some(w) = pool_workers {
-        telemetry.workers = w;
-    }
-    opts.tracer.flush();
-    Ok(ModuleReport {
-        module: module.name().to_string(),
+    telemetry.workers = outcome.workers_spawned as u64;
+    tracer.flush();
+    ModuleReport {
+        module: name.to_string(),
         ports,
         telemetry,
-    })
+        wall_time: t0.elapsed(),
+    }
 }
 
 /// Counter fixtures shared by the engine and scheduler test modules.
@@ -2492,133 +2232,74 @@ endmodule
         assert!(report.verdicts.iter().any(|v| v.instruction == "hold" && v.result.holds()));
     }
 
-    #[test]
-    fn parallel_matches_sequential() {
-        let port = counter_ila();
-        let rtl = counter_rtl(false);
-        let seq = verify_port(&port, &rtl, &counter_map(), &VerifyOptions::default()).unwrap();
-        let par = verify_port(
-            &port,
-            &rtl,
-            &counter_map(),
-            &VerifyOptions {
-                parallel: true,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        assert!(seq.all_hold() && par.all_hold());
-        let names = |r: &PortReport| -> Vec<String> {
-            r.verdicts.iter().map(|v| v.instruction.clone()).collect()
-        };
-        assert_eq!(names(&seq), names(&par));
-        // And on a buggy design both find the same failing instruction.
-        let buggy = counter_rtl(true);
-        let par = verify_port(
-            &port,
-            &buggy,
-            &counter_map(),
-            &VerifyOptions {
-                parallel: true,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        assert_eq!(
-            par.first_counterexample().unwrap().instruction,
-            "inc"
-        );
+    /// A two-port module over the counter RTL: `counter` updates the
+    /// count, `watch` only reads it, so the ports compose.
+    fn two_port_module() -> (ModuleIla, Vec<RefinementMap>) {
+        let mut watch = PortIla::new("watch");
+        let en = watch.input("en", Sort::Bv(1));
+        watch.state("cnt", Sort::Bv(4), StateKind::Output);
+        let d = watch.ctx_mut().eq_u64(en, 0);
+        watch.instr("idle").decode(d).add().unwrap();
+        let module = ModuleIla::compose("m", vec![counter_ila(), watch]).unwrap();
+        let mut watch_map = counter_map();
+        watch_map.name = "watch".into();
+        (module, vec![counter_map(), watch_map])
     }
 
     #[test]
-    fn incremental_matches_isolated() {
-        let port = counter_ila();
-        for buggy in [false, true] {
-            let rtl = counter_rtl(buggy);
-            let base =
-                verify_port(&port, &rtl, &counter_map(), &VerifyOptions::default()).unwrap();
-            let inc = verify_port(
-                &port,
-                &rtl,
-                &counter_map(),
-                &VerifyOptions {
-                    incremental: true,
-                    ..Default::default()
-                },
-            )
-            .unwrap();
-            assert_eq!(base.all_hold(), inc.all_hold(), "buggy={buggy}");
-            for (a, b) in base.verdicts.iter().zip(&inc.verdicts) {
-                assert_eq!(a.instruction, b.instruction);
-                assert_eq!(a.result.holds(), b.result.holds(), "{}", a.instruction);
+    fn worker_count_follows_jobs_above_the_threshold_only() {
+        let big = PAR_THRESHOLD;
+        assert_eq!(worker_count(None, big), 1);
+        assert_eq!(worker_count(Some(1), big), 1);
+        assert_eq!(worker_count(Some(3), big), 3);
+        assert!(worker_count(Some(0), big) >= 1);
+        assert_eq!(worker_count(Some(3), big - 1), 1);
+        assert_eq!(worker_count(Some(0), 0), 1);
+    }
+
+    #[test]
+    fn one_worker_run_reports_ports_in_order_without_pool_metadata() {
+        let (module, maps) = two_port_module();
+        for jobs in [None, Some(1), Some(4)] {
+            let opts = VerifyOptions {
+                jobs,
+                ..Default::default()
+            };
+            let report = verify_module(&module, &counter_rtl(false), &maps, &opts).unwrap();
+            assert!(report.all_hold(), "{report:#?}");
+            let names: Vec<&str> = report.ports.iter().map(|p| p.port.as_str()).collect();
+            assert_eq!(names, ["counter", "watch"]);
+            // The counter is far below the pool threshold: every `jobs`
+            // runs one worker inline, so no verdict names a worker.
+            assert_eq!(report.telemetry.workers, 1);
+            assert_eq!(report.telemetry.batches, 0);
+            for v in report.ports.iter().flat_map(|p| &p.verdicts) {
+                assert_eq!((v.worker, v.batch_id, v.batch_size), (None, None, 0));
             }
+            let mut peak = BlastStats::default();
+            for p in &report.ports {
+                peak = peak.max(p.peak_stats);
+                assert!(p.total_time <= report.total_time());
+            }
+            assert_eq!(report.peak_stats(), peak);
         }
     }
 
     #[test]
-    fn conflicting_options_are_rejected() {
-        let port = counter_ila();
-        let rtl = counter_rtl(false);
-        let map = counter_map();
-        let combos = [
-            VerifyOptions {
-                parallel: true,
-                stop_at_first_cex: true,
-                ..Default::default()
-            },
-            VerifyOptions {
-                parallel: true,
-                incremental: true,
-                ..Default::default()
-            },
-            VerifyOptions {
-                parallel: true,
-                jobs: Some(4),
-                ..Default::default()
-            },
-            VerifyOptions {
-                incremental: true,
-                jobs: Some(4),
-                ..Default::default()
-            },
-        ];
-        for opts in combos {
-            let err = verify_port(&port, &rtl, &map, &opts).unwrap_err();
-            assert!(matches!(err, VerifyError::BadOptions { .. }), "{opts:?}");
-        }
-        // `jobs` composes with the non-legacy flags.
-        let ok = VerifyOptions {
-            jobs: Some(2),
+    fn one_worker_run_stops_at_the_first_counterexample_in_declaration_order() {
+        let (module, maps) = two_port_module();
+        let opts = VerifyOptions {
             stop_at_first_cex: true,
             ..Default::default()
         };
-        verify_port(&port, &rtl, &map, &ok).unwrap();
-        // `jobs = 1` + `incremental` is the shared sequential engine.
-        let ok = VerifyOptions {
-            jobs: Some(1),
-            incremental: true,
-            ..Default::default()
-        };
-        verify_port(&port, &rtl, &map, &ok).unwrap();
-    }
-
-    #[test]
-    fn module_peak_stats_is_componentwise() {
-        let mk = |variables: u64, clauses: u64| PortReport {
-            port: "p".into(),
-            verdicts: Vec::new(),
-            total_time: Duration::ZERO,
-            peak_stats: BlastStats { variables, clauses },
-            telemetry: Telemetry::default(),
-        };
-        let report = ModuleReport {
-            module: "m".into(),
-            ports: vec![mk(100, 1), mk(1, 90)],
-            telemetry: Telemetry::default(),
-        };
-        let peak = report.peak_stats();
-        assert_eq!(peak.variables, 100);
-        assert_eq!(peak.clauses, 90);
+        let report = verify_module(&module, &counter_rtl(true), &maps, &opts).unwrap();
+        // `counter/inc` fails first; neither `counter/hold` nor the
+        // `watch` port ever runs.
+        assert_eq!(report.ports.len(), 1, "{report:#?}");
+        let verdicts = &report.ports[0].verdicts;
+        assert_eq!(verdicts.len(), 1);
+        assert_eq!(verdicts[0].instruction, "inc");
+        assert!(matches!(verdicts[0].result, CheckResult::CounterExample(_)));
     }
 
     #[test]

@@ -1,41 +1,36 @@
-//! Work-stealing verification scheduler with per-port job batching and
-//! optional learnt-clause sharing.
+//! Work-stealing verification scheduler with per-port job batching —
+//! the one execution path of every verification run.
 //!
 //! Work is batched per port: one job carries a whole [`PortPlan`]'s
 //! instruction list — or a contiguous chunk of it when the port has
 //! enough instructions to keep several workers busy — so a single
 //! worker amortizes one `Unrolling` + blast of the port's transition
-//! relation across every instruction in the batch, exactly like the
-//! sequential persistent engine does. Each plan brings its *own*
-//! cone-of-influence-sliced transition system, so a worker serving a
-//! port blasts only that port's logic. Workers keep a small cache of
+//! relation across every instruction in the batch. Each plan brings its
+//! *own* cone-of-influence-sliced transition system, so a worker serving
+//! a port blasts only that port's logic. Workers keep a small cache of
 //! per-port engines, so stealing a second chunk of a port they already
-//! served costs no new blast.
+//! served costs no new blast; an engine is dropped once its port has no
+//! batch left to claim.
 //!
-//! With clause sharing enabled, the workers serving chunks of the same
-//! port exchange short learnt clauses through a per-port lock-striped
-//! pool. Every engine of a shared port is warmed up with an identical
-//! deterministic encoding of the port's frame logic, which makes the
-//! CNF variable numbering below the warm-up mark line up across
-//! engines; only activation-free clauses over that shared prefix are
-//! exported (see [`SmtSolver::export_shared_learnts`] for the
-//! soundness argument), so imports can change solver effort but never
-//! verdicts.
+//! A pool of one runs the same worker loop inline on the calling thread:
+//! each port is one batch, taken in declaration order, served by one
+//! persistent engine, and the run stops at the first counterexample in
+//! declaration order when asked to.
 //!
 //! Scheduling is deterministic in its *results* but not its order:
 //! workers pull from their local deque first, refill in batches from
 //! the global injector, and steal from peers when both are empty.
 //! Verdicts are reassembled into declaration order afterwards, so a
-//! pooled run reports exactly what a sequential run would.
+//! multi-worker run reports exactly what a one-worker run would.
 
-use std::collections::{HashMap, HashSet};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use crossbeam::deque::{Injector, Stealer, Worker};
 use gila_mc::TransitionSystem;
-use gila_smt::{Lit, SmtSolver};
+use gila_smt::CancelToken;
 
 use crate::engine::{
     run_job_guarded, CheckResult, InstrVerdict, JobMeta, PortPlan, RunCtx, VerifyError,
@@ -55,32 +50,30 @@ struct Job {
 /// Scheduler knobs, resolved from [`crate::engine::VerifyOptions`].
 pub(crate) struct PoolConfig {
     /// Requested pool size (the spawned count is capped by the number
-    /// of batches).
+    /// of batches). One worker runs inline on the calling thread.
     pub(crate) workers: usize,
-    /// Cancel all outstanding work on the first counterexample.
+    /// Stop the run on the first counterexample.
     pub(crate) stop_at_first_cex: bool,
-    /// Batch jobs per port (chunked); off = one job per instruction.
-    pub(crate) batch_ports: bool,
-    /// Exchange learnt clauses between workers serving the same port.
-    pub(crate) share_clauses: bool,
 }
 
 /// A port's share of a pool run.
 pub(crate) struct PoolPortResult {
     /// `(instruction index, verdict)` in declaration order. Gaps occur
-    /// only when the run was cancelled (`stop_at_first_cex`).
+    /// only when the run stopped at a counterexample.
     pub(crate) verdicts: Vec<(usize, InstrVerdict)>,
-    /// When the port's last verdict landed, measured from pool start.
-    pub(crate) last_done: Duration,
+    /// Wall-clock time from the pickup of the port's first batch to its
+    /// last verdict.
+    pub(crate) busy: Duration,
 }
 
 /// The outcome of a pool run, plus introspection for tests.
 pub(crate) struct PoolOutcome {
     /// One entry per input plan, in the same order.
     pub(crate) ports: Vec<PoolPortResult>,
-    /// How many worker threads were spawned (≤ the requested size).
-    #[cfg_attr(not(test), allow(dead_code))]
+    /// How many workers served the run (≤ the requested size).
     pub(crate) workers_spawned: usize,
+    /// Whether the run stopped at a counterexample before draining.
+    pub(crate) stopped: bool,
     /// How many engines were actually built (lazily created, so idle
     /// workers never blast anything).
     #[cfg_attr(not(test), allow(dead_code))]
@@ -92,20 +85,47 @@ pub(crate) struct PoolOutcome {
 /// serving a third port evicts the least recently used engine.
 const ENGINE_CACHE: usize = 2;
 
-/// Maximum literal count of a shared learnt clause. Short clauses
-/// prune the most search per byte; long ones mostly burn import time
-/// and clause-database space.
-const SHARE_LEN_CAP: usize = 8;
+/// One finished job: its `(port, instruction)` key, its result, and
+/// when its batch was picked up and the job finished, measured from
+/// pool start (`None` for verdicts resumed from a checkpoint).
+struct JobRecord {
+    key: (usize, usize),
+    result: Result<InstrVerdict, VerifyError>,
+    span: Option<(Duration, Duration)>,
+}
+
+/// What every worker of one run shares.
+struct Pool<'r, 'p> {
+    plans: &'r [PortPlan<'p>],
+    tss: &'r [TransitionSystem],
+    ctx: &'r RunCtx<'r>,
+    stop_at_first_cex: bool,
+    injector: Injector<Job>,
+    stealers: Vec<Stealer<Job>>,
+    /// Interrupts in-flight solves; an external token doubles as it.
+    cancel: CancelToken,
+    /// Set on the first counterexample of a `stop_at_first_cex` run (or
+    /// a configuration error): no further job is picked up.
+    stop: AtomicBool,
+    /// Per port, the batches no worker has picked up yet.
+    unclaimed: Vec<AtomicUsize>,
+    engines_created: AtomicUsize,
+    results: Mutex<Vec<JobRecord>>,
+    t0: Instant,
+}
 
 /// Runs every instruction of every plan on a pool of at most
-/// `cfg.workers` threads. `tss` holds one transition system per plan
+/// `cfg.workers` workers. `tss` holds one transition system per plan
 /// (typically per-port COI slices of the same module); a job for plan
-/// `i` is always served by an engine over `tss[i]`.
+/// `i` is always served by an engine over `tss[i]`. A pool of one runs
+/// inline on the calling thread; more workers run on scoped threads.
 ///
-/// With `cfg.stop_at_first_cex`, the first counterexample found
-/// anywhere cancels all queued work *and* interrupts in-flight solves
-/// through the workers' [`CancelToken`]s; an interrupted job reports
-/// `Unknown(Cancelled)`.
+/// With `cfg.stop_at_first_cex`, the first counterexample stops job
+/// pickup *and* interrupts in-flight solves on other workers through
+/// their [`CancelToken`]; an interrupted job reports `Unknown(Cancelled)`.
+/// An externally cancelled token does not stop pickup: every remaining
+/// job still reports, as `Unknown(Cancelled)`, so no instruction goes
+/// missing from the report.
 ///
 /// Jobs already decided by the context's resumed checkpoint are never
 /// scheduled; their stored verdicts are merged into the result. A job
@@ -124,7 +144,6 @@ pub(crate) fn run_pool(
     ctx: &RunCtx<'_>,
 ) -> Result<PoolOutcome, VerifyError> {
     assert_eq!(plans.len(), tss.len(), "one transition system per plan");
-    let tracer = ctx.tracer;
     let mut resumed: Vec<((usize, usize), InstrVerdict)> = Vec::new();
     let mut pending: Vec<Vec<usize>> = Vec::with_capacity(plans.len());
     for (port, plan) in plans.iter().enumerate() {
@@ -139,188 +158,177 @@ pub(crate) fn run_pool(
         pending.push(todo);
     }
     let total: usize = pending.iter().map(Vec::len).sum();
-    let jobs = make_jobs(&pending, cfg.workers, cfg.batch_ports);
-
-    // A port's clause stripe only activates when its instructions are
-    // split across at least two batches — with a single batch there is
-    // no peer to share with, and the warm-up encoding would be pure
-    // overhead.
-    let mut batches_of_port = vec![0usize; plans.len()];
-    for job in &jobs {
-        batches_of_port[job.port] += 1;
-    }
-    let stripes: Vec<ShareStripe> = batches_of_port
-        .iter()
-        .map(|&n| ShareStripe {
-            active: cfg.share_clauses && n >= 2,
-            clauses: Mutex::new(Vec::new()),
-        })
-        .collect();
-
+    let jobs = make_jobs(&pending, cfg.workers);
     let workers_spawned = cfg.workers.clamp(1, jobs.len().max(1));
+    let unclaimed: Vec<AtomicUsize> = (0..plans.len()).map(|_| AtomicUsize::new(0)).collect();
     let injector = Injector::new();
     for job in jobs {
+        unclaimed[job.port].fetch_add(1, Ordering::Relaxed);
         injector.push(job);
     }
     let locals: Vec<Worker<Job>> = (0..workers_spawned).map(|_| Worker::new_fifo()).collect();
-    let stealers: Vec<Stealer<Job>> = locals.iter().map(Worker::stealer).collect();
-
-    // An externally supplied token (a serve-layer client disconnect or
-    // watchdog) doubles as the pool's internal stop token, so one
-    // cancellation path interrupts job pickup and in-flight solves alike.
-    let cancel = ctx
-        .policy
-        .cancel
-        .clone()
-        .unwrap_or_default();
-    let engines_created = AtomicUsize::new(0);
-    let t0 = Instant::now();
-    type JobRecord = (
-        (usize, usize),
-        Result<InstrVerdict, VerifyError>,
-        Duration,
-    );
-    let results: Mutex<Vec<JobRecord>> = Mutex::new(Vec::with_capacity(total));
-
-    let scope_result = crossbeam::thread::scope(|scope| {
-        for (worker_id, local) in locals.into_iter().enumerate() {
-            let (injector, stealers, cancel) = (&injector, &stealers, &cancel);
-            let (engines_created, results, ctx) = (&engines_created, &results, &ctx);
-            let (tss, stripes) = (&tss, &stripes);
-            scope.spawn(move |_| {
-                // Per-port persistent engines, with the CNF-prefix mark
-                // of each (0 when its port's stripe is inactive).
-                let mut cache: Vec<(usize, WorkerEngine, usize)> = Vec::new();
-                // Per-port clause-sharing state: what this worker has
-                // already published or imported, and how far into the
-                // stripe it has read.
-                let mut share_local: HashMap<usize, ShareLocal> = HashMap::new();
-                while !cancel.is_cancelled() {
-                    let Some((job, stolen)) = find_job(&local, injector, stealers) else {
-                        break;
-                    };
-                    let queue_ns = t0.elapsed().as_nanos() as u64;
-                    let plan = &plans[job.port];
-                    let ts = &tss[job.port];
-                    let stripe = &stripes[job.port];
-                    let (mut slot, mut mark) = cache_take(&mut cache, job.port);
-                    for &idx in &job.instrs {
-                        if cancel.is_cancelled() {
-                            break;
-                        }
-                        let meta = JobMeta {
-                            worker: Some(worker_id),
-                            queue_ns,
-                            stolen,
-                            batch_id: Some(job.batch_id),
-                            batch_size: job.instrs.len() as u64,
-                        };
-                        let had_engine = slot.is_some();
-                        let mark_cell = std::cell::Cell::new(0usize);
-                        let mut res = run_job_guarded(
-                            plan,
-                            idx,
-                            &mut slot,
-                            || {
-                                engines_created.fetch_add(1, Ordering::Relaxed);
-                                let mut e = WorkerEngine::new(ts, tracer);
-                                // Cancellation interrupts this worker's
-                                // solver mid-search, not just job pickup.
-                                e.smt.set_cancel(cancel.clone());
-                                if stripe.active {
-                                    mark_cell.set(warm_engine(&mut e, plan, ts));
-                                }
-                                e
-                            },
-                            tracer,
-                            meta,
-                            &ctx.policy,
-                        );
-                        if !had_engine && slot.is_some() {
-                            mark = mark_cell.get();
-                        }
-                        if slot.is_none() {
-                            // The job panicked and wiped the engine. A
-                            // rebuilt engine starts from a clean solver,
-                            // so forget this worker's sharing history:
-                            // the fresh solver may re-import everything.
-                            share_local.remove(&job.port);
-                            mark = 0;
-                        }
-                        if stripe.active {
-                            if let (Ok(v), Some(engine)) = (&mut res, slot.as_mut()) {
-                                let sl = share_local.entry(job.port).or_default();
-                                exchange_clauses(&mut engine.smt, mark, stripe, sl, v);
-                            }
-                        }
-                        let done_at = t0.elapsed();
-                        let abort = match &res {
-                            Ok(v) => {
-                                ctx.record_checkpoint(plan.port.name(), v);
-                                cfg.stop_at_first_cex
-                                    && matches!(v.result, CheckResult::CounterExample(_))
-                            }
-                            Err(_) => true,
-                        };
-                        results.lock().unwrap_or_else(|p| p.into_inner()).push((
-                            (job.port, idx),
-                            res,
-                            done_at,
-                        ));
-                        if abort {
-                            cancel.cancel();
-                            break;
-                        }
-                    }
-                    cache_store(&mut cache, job.port, slot, mark);
-                }
-            });
-        }
-    });
-    // Workers isolate job panics themselves; a panic escaping to here
-    // is a scheduler bug, reported as an internal error rather than a
-    // double panic out of the verification API.
-    if scope_result.is_err() {
+    let pool = Pool {
+        plans,
+        tss,
+        ctx,
+        stop_at_first_cex: cfg.stop_at_first_cex,
+        injector,
+        stealers: locals.iter().map(Worker::stealer).collect(),
+        cancel: ctx.policy.cancel.clone().unwrap_or_default(),
+        stop: AtomicBool::new(false),
+        unclaimed,
+        engines_created: AtomicUsize::new(0),
+        results: Mutex::new(Vec::with_capacity(total)),
+        t0: Instant::now(),
+    };
+    // Workers isolate job panics themselves; a panic escaping the worker
+    // loop is a scheduler bug, reported as an internal error rather than
+    // a double panic out of the verification API.
+    let clean = if workers_spawned == 1 {
+        catch_unwind(AssertUnwindSafe(|| pool.serve(None, &locals[0]))).is_ok()
+    } else {
+        crossbeam::thread::scope(|scope| {
+            for (worker_id, local) in locals.into_iter().enumerate() {
+                let pool = &pool;
+                scope.spawn(move |_| pool.serve(Some(worker_id), &local));
+            }
+        })
+        .is_ok()
+    };
+    if !clean {
         return Err(VerifyError::Internal {
             reason: "a verification worker died outside job isolation".to_string(),
         });
     }
 
-    let mut records = results
+    let mut records = pool
+        .results
         .into_inner()
         .unwrap_or_else(|poisoned| poisoned.into_inner());
-    records.extend(resumed.into_iter().map(|(key, v)| (key, Ok(v), Duration::ZERO)));
-    records.sort_by_key(|(key, _, _)| *key);
+    records.extend(resumed.into_iter().map(|(key, v)| JobRecord {
+        key,
+        result: Ok(v),
+        span: None,
+    }));
+    records.sort_by_key(|r| r.key);
     let mut ports: Vec<PoolPortResult> = plans
         .iter()
         .map(|_| PoolPortResult {
             verdicts: Vec::new(),
-            last_done: Duration::ZERO,
+            busy: Duration::ZERO,
         })
         .collect();
-    for ((port, instr), res, done_at) in records {
-        let verdict = res?;
-        let port = &mut ports[port];
-        port.verdicts.push((instr, verdict));
-        port.last_done = port.last_done.max(done_at);
+    // Per port, the (first pickup, last finish) window of its jobs.
+    let mut windows: Vec<Option<(Duration, Duration)>> = vec![None; plans.len()];
+    for r in records {
+        ports[r.key.0].verdicts.push((r.key.1, r.result?));
+        if let Some((start, end)) = r.span {
+            let w = &mut windows[r.key.0];
+            *w = Some(w.map_or((start, end), |(s, e)| (s.min(start), e.max(end))));
+        }
+    }
+    for (port, window) in ports.iter_mut().zip(windows) {
+        port.busy = window.map_or(Duration::ZERO, |(s, e)| e - s);
     }
     Ok(PoolOutcome {
         ports,
         workers_spawned,
-        engines_created: engines_created.load(Ordering::Relaxed),
+        stopped: pool.stop.into_inner(),
+        engines_created: pool.engines_created.into_inner(),
     })
 }
 
-/// Splits each port's pending instruction indices into batches.
-///
-/// With batching on, a port is split into a number of contiguous chunks
-/// proportional to its share of the total instruction count (rounded,
-/// at least 1, at most one chunk per instruction), targeting `workers`
-/// chunks overall: one heavyweight port is chunked so every worker gets
-/// a piece, while a pile of small ports still costs one unrolling
-/// each. Off, every instruction is its own single-element batch — the
-/// pre-batching granularity, kept for A/B comparison.
-fn make_jobs(pending: &[Vec<usize>], workers: usize, batch_ports: bool) -> Vec<Job> {
+impl Pool<'_, '_> {
+    /// The worker loop. `worker` is the pool worker id on a multi-worker
+    /// run and `None` on a one-worker run, whose verdicts carry no
+    /// scheduling metadata.
+    fn serve(&self, worker: Option<usize>, local: &Worker<Job>) {
+        let tracer = self.ctx.tracer;
+        // Per-port persistent engines, least recently used first.
+        let mut cache: Vec<(usize, WorkerEngine)> = Vec::new();
+        while !self.stop.load(Ordering::Relaxed) {
+            let Some((job, stolen)) = find_job(local, &self.injector, &self.stealers) else {
+                break;
+            };
+            let picked_up = self.t0.elapsed();
+            let last_batch = self.unclaimed[job.port].fetch_sub(1, Ordering::Relaxed) == 1;
+            let plan = &self.plans[job.port];
+            let ts = &self.tss[job.port];
+            let meta = match worker {
+                Some(_) => JobMeta {
+                    worker,
+                    queue_ns: picked_up.as_nanos() as u64,
+                    stolen,
+                    batch_id: Some(job.batch_id),
+                    batch_size: job.instrs.len() as u64,
+                },
+                None => JobMeta::default(),
+            };
+            let mut slot = cache
+                .iter()
+                .position(|(p, _)| *p == job.port)
+                .map(|pos| cache.remove(pos).1);
+            for &idx in &job.instrs {
+                if self.stop.load(Ordering::Relaxed) {
+                    break;
+                }
+                let result = run_job_guarded(
+                    plan,
+                    idx,
+                    &mut slot,
+                    || {
+                        self.engines_created.fetch_add(1, Ordering::Relaxed);
+                        let mut e = WorkerEngine::new(ts, tracer);
+                        // Cancellation interrupts this worker's solver
+                        // mid-search, not just job pickup.
+                        e.smt.set_cancel(self.cancel.clone());
+                        e
+                    },
+                    tracer,
+                    meta,
+                    &self.ctx.policy,
+                );
+                let abort = match &result {
+                    Ok(v) => {
+                        self.ctx.record_checkpoint(plan.port.name(), v);
+                        self.stop_at_first_cex && matches!(v.result, CheckResult::CounterExample(_))
+                    }
+                    Err(_) => true,
+                };
+                self.results
+                    .lock()
+                    .unwrap_or_else(|p| p.into_inner())
+                    .push(JobRecord {
+                        key: (job.port, idx),
+                        result,
+                        span: Some((picked_up, self.t0.elapsed())),
+                    });
+                if abort {
+                    self.stop.store(true, Ordering::Relaxed);
+                    self.cancel.cancel();
+                    break;
+                }
+            }
+            // No later batch of this port can reach this worker once
+            // every batch is claimed, so its engine is dropped, not cached.
+            if let (Some(engine), false) = (slot, last_batch) {
+                cache.push((job.port, engine));
+                if cache.len() > ENGINE_CACHE {
+                    cache.remove(0);
+                }
+            }
+        }
+    }
+}
+
+/// Splits each port's pending instruction indices into batches: a port
+/// is split into a number of contiguous chunks proportional to its share
+/// of the total instruction count (rounded, at least 1, at most one
+/// chunk per instruction), targeting `workers` chunks overall. One
+/// heavyweight port is chunked so every worker gets a piece, while a
+/// pile of small ports still costs one unrolling each; with one worker
+/// every port is exactly one batch.
+fn make_jobs(pending: &[Vec<usize>], workers: usize) -> Vec<Job> {
     let total: usize = pending.iter().map(Vec::len).sum();
     let mut jobs = Vec::new();
     let mut batch_id = 0u64;
@@ -329,11 +337,7 @@ fn make_jobs(pending: &[Vec<usize>], workers: usize, batch_ports: bool) -> Vec<J
         if n == 0 {
             continue;
         }
-        let chunks = if batch_ports {
-            ((n * workers + total / 2) / total.max(1)).clamp(1, n)
-        } else {
-            n
-        };
+        let chunks = ((n * workers + total / 2) / total.max(1)).clamp(1, n);
         let base = n / chunks;
         let extra = n % chunks;
         let mut off = 0;
@@ -349,124 +353,6 @@ fn make_jobs(pending: &[Vec<usize>], workers: usize, batch_ports: bool) -> Vec<J
         }
     }
     jobs
-}
-
-/// Takes the cached engine for `port` out of the worker's cache, if
-/// present, along with its warm-up mark.
-fn cache_take(
-    cache: &mut Vec<(usize, WorkerEngine, usize)>,
-    port: usize,
-) -> (Option<WorkerEngine>, usize) {
-    match cache.iter().position(|(p, _, _)| *p == port) {
-        Some(pos) => {
-            let (_, engine, mark) = cache.remove(pos);
-            (Some(engine), mark)
-        }
-        None => (None, 0),
-    }
-}
-
-/// Returns an engine to the cache (most recently used at the back),
-/// evicting the least recently used entry past [`ENGINE_CACHE`].
-fn cache_store(
-    cache: &mut Vec<(usize, WorkerEngine, usize)>,
-    port: usize,
-    engine: Option<WorkerEngine>,
-    mark: usize,
-) {
-    if let Some(e) = engine {
-        cache.push((port, e, mark));
-        if cache.len() > ENGINE_CACHE {
-            cache.remove(0);
-        }
-    }
-}
-
-/// The per-port shared clause pool. One mutex per port (lock striping):
-/// workers serving different ports never contend, and workers of the
-/// same port only touch the lock once per instruction.
-struct ShareStripe {
-    /// Sharing only pays when ≥ 2 batches of the port exist.
-    active: bool,
-    /// Published clauses, in canonical (sorted-literal) form. Append
-    /// only; per-worker cursors track what each worker has read.
-    clauses: Mutex<Vec<Vec<Lit>>>,
-}
-
-/// One worker's view of one port's stripe.
-#[derive(Default)]
-struct ShareLocal {
-    /// Canonical clauses this worker has already published or imported
-    /// — its own solver already knows them, so they are never imported
-    /// (and never re-published).
-    seen: HashSet<Vec<Lit>>,
-    /// How far into the stripe this worker has read.
-    cursor: usize,
-}
-
-/// Builds the deterministic shared CNF prefix of a port's engine: every
-/// state, input, and invariant constraint of the sliced system, mapped
-/// over every frame up to the port's deepest instruction bound, encoded
-/// (not asserted — definitional clauses only). Any two engines of the
-/// same port run this identical sequence from a fresh solver, so their
-/// variable numbering agrees below the returned mark and activation-free
-/// clauses over the prefix transfer soundly between them.
-fn warm_engine(engine: &mut WorkerEngine, plan: &PortPlan<'_>, ts: &TransitionSystem) -> usize {
-    let max_bound = plan.instrs.iter().map(|ip| ip.bound).max().unwrap_or(0);
-    let WorkerEngine { u, smt, .. } = engine;
-    u.extend_to(max_bound);
-    for k in 0..=max_bound {
-        for v in ts.states().iter().chain(ts.inputs().iter()) {
-            let e = u.map_expr(k, v.var);
-            smt.encode(u.ctx(), e);
-        }
-        for &c in ts.constraints() {
-            let e = u.map_expr(k, c);
-            smt.encode(u.ctx(), e);
-        }
-    }
-    smt.cnf_vars()
-}
-
-/// One publish/import round against a port's stripe, run after each
-/// instruction (outside its effort window, like inprocessing). Exports
-/// go through the activation- and prefix-filtered
-/// [`SmtSolver::export_shared_learnts`]; canonicalization (sorted
-/// literals) makes the dedup set order-insensitive. Counters land on
-/// the instruction's verdict.
-fn exchange_clauses(
-    smt: &mut SmtSolver,
-    mark: usize,
-    stripe: &ShareStripe,
-    local: &mut ShareLocal,
-    v: &mut InstrVerdict,
-) {
-    let mut fresh: Vec<Vec<Lit>> = Vec::new();
-    for mut clause in smt.export_shared_learnts(SHARE_LEN_CAP, mark) {
-        clause.sort_unstable();
-        if local.seen.insert(clause.clone()) {
-            fresh.push(clause);
-        }
-    }
-    v.clauses_exported += fresh.len() as u64;
-    let incoming: Vec<Vec<Lit>> = {
-        let mut pool = stripe.clauses.lock().unwrap_or_else(|p| p.into_inner());
-        // Read the peers' clauses since the last visit *before*
-        // appending our own, so we never re-import what we publish.
-        let incoming = pool[local.cursor..].to_vec();
-        pool.extend(fresh);
-        local.cursor = pool.len();
-        incoming
-    };
-    let mut accept: Vec<Vec<Lit>> = Vec::new();
-    for clause in incoming {
-        if local.seen.insert(clause.clone()) {
-            accept.push(clause);
-        } else {
-            v.clauses_deduped += 1;
-        }
-    }
-    v.clauses_imported += smt.import_shared_clauses(accept.iter().map(Vec::as_slice)) as u64;
 }
 
 /// Local deque first, then a batch refill from the global injector,
@@ -497,13 +383,12 @@ mod tests {
     use crate::engine::testutil::{counter_ila, counter_map, counter_rtl};
     use crate::engine::{rtl_to_ts, verify_port, VerifyOptions};
     use crate::fault::{FaultAction, FaultPlan};
+    use std::sync::Arc;
 
     fn counter_cfg(workers: usize, stop_at_first_cex: bool) -> PoolConfig {
         PoolConfig {
             workers,
             stop_at_first_cex,
-            batch_ports: true,
-            share_clauses: false,
         }
     }
 
@@ -512,13 +397,13 @@ mod tests {
         workers: usize,
         stop_at_first_cex: bool,
     ) -> PoolOutcome {
-        run_counter_pool_with(buggy, counter_cfg(workers, stop_at_first_cex), None)
+        run_counter_pool_with(buggy, counter_cfg(workers, stop_at_first_cex), |_| {})
     }
 
     fn run_counter_pool_with(
         buggy: bool,
         cfg: PoolConfig,
-        fault: Option<FaultPlan>,
+        configure: impl FnOnce(&mut RunCtx<'_>),
     ) -> PoolOutcome {
         let port = counter_ila();
         let rtl = counter_rtl(buggy);
@@ -527,7 +412,7 @@ mod tests {
         let plan = PortPlan::build(&port, &rtl, &map, &ts_signals).unwrap();
         let tracer = gila_trace::Tracer::disabled();
         let mut ctx = RunCtx::plain(&tracer);
-        ctx.policy.fault = fault.map(std::sync::Arc::new);
+        configure(&mut ctx);
         run_pool(
             std::slice::from_ref(&plan),
             std::slice::from_ref(&ts),
@@ -576,64 +461,31 @@ mod tests {
     }
 
     #[test]
-    fn batching_amortizes_one_engine_across_the_port() {
-        // With one worker, batching folds the whole port into one job:
-        // one batch id, one engine, queue/steal metadata shared by every
-        // verdict of the batch.
+    fn one_worker_serves_each_port_as_one_unlabelled_batch() {
+        // A pool of one folds the whole port into one job on one
+        // engine, inline, and leaves the pool metadata empty.
         let outcome = run_counter_pool(false, 1, false);
         assert_eq!(outcome.engines_created, 1);
         let verdicts = &outcome.ports[0].verdicts;
         assert_eq!(verdicts.len(), 2);
-        let first = &verdicts[0].1;
-        let second = &verdicts[1].1;
-        assert_eq!(first.batch_id, Some(0));
-        assert_eq!(second.batch_id, Some(0));
-        assert_eq!(first.batch_size, 2);
-        assert_eq!(second.batch_size, 2);
-        assert_eq!(first.queue_ns, second.queue_ns, "queue latency is per-batch");
-        assert_eq!(first.stolen, second.stolen);
-    }
-
-    #[test]
-    fn batching_off_restores_per_instruction_jobs() {
-        let cfg = PoolConfig {
-            workers: 8,
-            stop_at_first_cex: false,
-            batch_ports: false,
-            share_clauses: false,
-        };
-        let outcome = run_counter_pool_with(false, cfg, None);
-        let verdicts = &outcome.ports[0].verdicts;
-        assert_eq!(verdicts.len(), 2);
-        let ids: Vec<_> = verdicts.iter().map(|(_, v)| v.batch_id).collect();
-        assert_eq!(ids, vec![Some(0), Some(1)], "one batch per instruction");
-        assert!(verdicts.iter().all(|(_, v)| v.batch_size == 1));
-    }
-
-    #[test]
-    fn clause_sharing_preserves_verdicts() {
-        for buggy in [false, true] {
-            let baseline = run_counter_pool(buggy, 2, false);
-            let cfg = PoolConfig {
-                workers: 2,
-                stop_at_first_cex: false,
-                batch_ports: true,
-                share_clauses: true,
-            };
-            let shared = run_counter_pool_with(buggy, cfg, None);
-            let b = &baseline.ports[0].verdicts;
-            let s = &shared.ports[0].verdicts;
-            assert_eq!(b.len(), s.len(), "buggy={buggy}");
-            for ((_, want), (_, got)) in b.iter().zip(s) {
-                assert_eq!(want.instruction, got.instruction);
-                assert_eq!(
-                    want.result.holds(),
-                    got.result.holds(),
-                    "sharing flipped a verdict on {}",
-                    got.instruction
-                );
-            }
+        for (_, v) in verdicts {
+            assert_eq!((v.worker, v.batch_id, v.batch_size), (None, None, 0));
+            assert_eq!((v.queue_ns, v.stolen), (0, false));
         }
+    }
+
+    #[test]
+    fn multi_worker_batches_carry_their_metadata() {
+        // Two workers, two instructions: one single-instruction batch
+        // each, with distinct ids.
+        let outcome = run_counter_pool(false, 2, false);
+        assert_eq!(outcome.workers_spawned, 2);
+        let verdicts = &outcome.ports[0].verdicts;
+        let ids: Vec<_> = verdicts.iter().map(|(_, v)| v.batch_id).collect();
+        assert_eq!(ids, vec![Some(0), Some(1)]);
+        assert!(verdicts
+            .iter()
+            .all(|(_, v)| v.batch_size == 1 && v.worker.is_some()));
     }
 
     #[test]
@@ -684,6 +536,29 @@ mod tests {
     }
 
     #[test]
+    fn external_cancellation_still_reports_every_job() {
+        // A cancelled caller token interrupts solves but never drops a
+        // job: each one reports Unknown(Cancelled), so the report cannot
+        // read as a vacuous pass.
+        for workers in [1, 2] {
+            let outcome = run_counter_pool_with(false, counter_cfg(workers, false), |ctx| {
+                let token = CancelToken::new();
+                token.cancel();
+                ctx.policy.cancel = Some(token);
+            });
+            let verdicts = &outcome.ports[0].verdicts;
+            assert_eq!(verdicts.len(), 2, "workers={workers}");
+            assert!(verdicts.iter().all(|(_, v)| matches!(
+                v.result,
+                CheckResult::Unknown {
+                    reason: gila_smt::ResourceOut::Cancelled,
+                    ..
+                }
+            )));
+        }
+    }
+
+    #[test]
     fn empty_plan_set_yields_empty_outcome() {
         let rtl = counter_rtl(false);
         let (_ts, _) = rtl_to_ts(&rtl).unwrap();
@@ -706,8 +581,9 @@ mod tests {
                 FaultAction::Panic("injected".into()),
                 Some(1),
             );
-            let outcome =
-                run_counter_pool_with(false, counter_cfg(workers, false), Some(fault));
+            let outcome = run_counter_pool_with(false, counter_cfg(workers, false), |ctx| {
+                ctx.policy.fault = Some(Arc::new(fault));
+            });
             let verdicts = &outcome.ports[0].verdicts;
             assert_eq!(verdicts.len(), 2, "workers={workers}");
             let inc = &verdicts[0].1;
@@ -734,7 +610,9 @@ mod tests {
             FaultAction::Panic("first job dies".into()),
             Some(1),
         );
-        let outcome = run_counter_pool_with(true, counter_cfg(1, false), Some(fault));
+        let outcome = run_counter_pool_with(true, counter_cfg(1, false), |ctx| {
+            ctx.policy.fault = Some(Arc::new(fault));
+        });
         let verdicts = &outcome.ports[0].verdicts;
         assert_eq!(verdicts.len(), 2);
         assert!(verdicts[0].1.result.is_panicked());
@@ -750,7 +628,7 @@ mod tests {
         // One port of 4 and one of 2, 4 workers: the big port gets 3
         // chunks, the small one 1, totalling the worker count.
         let pending = vec![vec![0, 1, 2, 3], vec![0, 1]];
-        let jobs = make_jobs(&pending, 4, true);
+        let jobs = make_jobs(&pending, 4);
         assert_eq!(jobs.len(), 4);
         let sizes: Vec<usize> = jobs.iter().map(|j| j.instrs.len()).collect();
         assert_eq!(sizes, vec![2, 1, 1, 2]);
@@ -762,7 +640,7 @@ mod tests {
         let ids: Vec<u64> = jobs.iter().map(|j| j.batch_id).collect();
         assert_eq!(ids, vec![0, 1, 2, 3]);
         // One worker: one batch per port regardless of size.
-        let jobs = make_jobs(&pending, 1, true);
+        let jobs = make_jobs(&pending, 1);
         assert_eq!(jobs.len(), 2);
         assert_eq!(jobs[0].instrs.len(), 4);
         assert_eq!(jobs[1].instrs.len(), 2);

@@ -4,7 +4,9 @@
 //! `gila verify` reaches the exact same verdicts — on every bundled
 //! case study and the broken fixture, at any job count. The fast path
 //! may only ever *skip* SAT calls whose outcome it proved; the moment
-//! it changes an answer, these tests name the design and the diff.
+//! it changes an answer, these tests name the design and the diff. The
+//! verify table holds formula preprocessing (COI slicing, rewriting,
+//! inprocessing) to the same contract.
 
 use gila::designs::all_case_studies;
 use gila::lang::parse_spec;
@@ -104,7 +106,7 @@ fn verdict_shape(report: &ModuleReport) -> Vec<(String, String, &'static str)> {
         .collect()
 }
 
-fn verify_with(name: &str, absint: bool, jobs: usize, buggy: bool) -> ModuleReport {
+fn verify_with(name: &str, opts: &VerifyOptions, buggy: bool) -> ModuleReport {
     let cs = all_case_studies()
         .into_iter()
         .find(|cs| cs.name == name)
@@ -114,56 +116,86 @@ fn verify_with(name: &str, absint: bool, jobs: usize, buggy: bool) -> ModuleRepo
     } else {
         cs.rtl.clone()
     };
-    let opts = VerifyOptions {
-        jobs: Some(jobs),
-        absint,
-        ..VerifyOptions::default()
-    };
-    verify_module(&cs.ila, &rtl, &cs.refmaps, &opts).expect("well-formed")
+    verify_module(&cs.ila, &rtl, &cs.refmaps, opts).expect("well-formed")
 }
 
-/// Verification verdicts are identical with and without the invariant
-/// lemmas, sequentially and pooled — on fixed RTL (everything holds)
-/// and on the bug-injected variants (the same instructions fail).
+/// The A/B inputs of the verify table: each switches one accelerator
+/// off and must reach exactly the default configuration's verdicts.
+fn accelerators_off(jobs: usize) -> [(&'static str, VerifyOptions); 2] {
+    [
+        (
+            "absint off",
+            VerifyOptions {
+                jobs: Some(jobs),
+                absint: false,
+                ..VerifyOptions::default()
+            },
+        ),
+        (
+            "preprocess off",
+            VerifyOptions {
+                jobs: Some(jobs),
+                preprocess: false,
+                ..VerifyOptions::default()
+            },
+        ),
+    ]
+}
+
+/// Verification verdicts are identical with the invariant lemmas or the
+/// preprocessing pipeline switched off, on one worker and pooled — on
+/// fixed RTL (everything holds) and on the bug-injected variants (the
+/// same instructions fail).
 #[test]
 fn verify_verdicts_identical_with_and_without_absint() {
     for cs in all_case_studies() {
-        // The full-memory Datapath run is covered by the sequential
-        // pass below; its pooled run is skipped here for the same cost
-        // reason the end-to-end suite skips it.
+        // The full-memory Datapath run is covered by the one-worker
+        // absint pass below; its other runs are skipped here for the
+        // same cost reason the end-to-end suite skips it.
         if cs.name == "Datapath" {
             continue;
         }
         for jobs in [1usize, 4] {
-            let on = verify_with(cs.name, true, jobs, false);
-            let off = verify_with(cs.name, false, jobs, false);
-            assert!(on.all_hold(), "{}: {on:#?}", cs.name);
-            assert_eq!(
-                verdict_shape(&on),
-                verdict_shape(&off),
-                "{} (jobs={jobs}): absint changed a verdict",
-                cs.name
-            );
-        }
-        if cs.buggy_rtl.is_some() {
-            let on = verify_with(cs.name, true, 1, true);
-            let off = verify_with(cs.name, false, 1, true);
-            assert_eq!(
-                verdict_shape(&on),
-                verdict_shape(&off),
-                "{} (buggy): absint changed a verdict",
-                cs.name
-            );
+            for buggy in [false, true] {
+                if buggy && cs.buggy_rtl.is_none() {
+                    continue;
+                }
+                let on = VerifyOptions {
+                    jobs: Some(jobs),
+                    ..VerifyOptions::default()
+                };
+                let on = verify_with(cs.name, &on, buggy);
+                assert_eq!(
+                    on.all_hold(),
+                    !buggy,
+                    "{} (buggy={buggy}): {on:#?}",
+                    cs.name
+                );
+                for (label, off) in accelerators_off(jobs) {
+                    let off = verify_with(cs.name, &off, buggy);
+                    assert_eq!(
+                        verdict_shape(&on),
+                        verdict_shape(&off),
+                        "{} (jobs={jobs}, buggy={buggy}): {label} changed a verdict",
+                        cs.name
+                    );
+                }
+            }
         }
     }
 }
 
-/// The sequential Datapath pass: one on/off pair at `jobs = 1` keeps
-/// the full-memory design covered without paying for a pooled rerun.
+/// The one-worker Datapath pass: one absint on/off pair at `jobs = 1`
+/// keeps the full-memory design covered without paying for a pooled
+/// rerun.
 #[test]
 fn verify_verdicts_identical_on_datapath_sequential() {
-    let on = verify_with("Datapath", true, 1, false);
-    let off = verify_with("Datapath", false, 1, false);
+    let off = VerifyOptions {
+        absint: false,
+        ..VerifyOptions::default()
+    };
+    let on = verify_with("Datapath", &VerifyOptions::default(), false);
+    let off = verify_with("Datapath", &off, false);
     assert!(on.all_hold(), "Datapath: {on:#?}");
     assert_eq!(
         verdict_shape(&on),

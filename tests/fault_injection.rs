@@ -3,7 +3,7 @@
 //! abort a module run — every other instruction still gets the verdict
 //! it would get in a clean run — and `resume` must re-verify only the
 //! jobs a previous run left undecided. Everything is exercised at both
-//! `jobs = 1` (sequential engine) and `jobs = 4` (work-stealing pool).
+//! `jobs = 1` (one worker, inline) and `jobs = 4` (work-stealing pool).
 
 use std::sync::Arc;
 

@@ -186,16 +186,15 @@ fn pooled_budget_exhaustion_is_reported_not_fatal() {
 
 #[test]
 fn pooled_runs_reuse_worker_cnf() {
-    // With one worker the pool degenerates to a single persistent
-    // incremental engine: every instruction after the first must add
-    // far less CNF than the first (the transition relation is cached).
+    // With one worker the pool is a single persistent incremental
+    // engine per port: every instruction after the first must add far
+    // less CNF than the first (the transition relation is cached).
     let cs = all_case_studies()
         .into_iter()
         .find(|c| c.name == "Decoder")
         .unwrap();
     let opts = VerifyOptions {
         jobs: Some(1),
-        incremental: true,
         ..Default::default()
     };
     let report = verify_module(&cs.ila, &cs.rtl, &cs.refmaps, &opts).unwrap();
@@ -221,4 +220,49 @@ fn pooled_runs_reuse_worker_cnf() {
         later_min * 4 < first,
         "expected near-total CNF reuse for at least one instruction: {growth:?}"
     );
+}
+
+#[test]
+fn pooled_total_time_counts_overlapping_ports_once() {
+    // NoC Router is big enough to run on a real pool at jobs = 4, where
+    // its two ports overlap in time; the reported total must not
+    // exceed the wall time of the call.
+    let cs = all_case_studies()
+        .into_iter()
+        .find(|c| c.name == "NoC Router")
+        .unwrap();
+    let t0 = std::time::Instant::now();
+    let report = verify_module(&cs.ila, &cs.rtl, &cs.refmaps, &with_jobs(4)).unwrap();
+    let wall = t0.elapsed();
+    assert!(report.all_hold());
+    assert!(report.telemetry.workers > 1, "NoC Router should run pooled");
+    assert!(
+        report.total_time() <= wall,
+        "total_time {:?} exceeds the measured wall time {wall:?}",
+        report.total_time()
+    );
+}
+
+#[test]
+fn port_coi_counters_do_not_depend_on_the_worker_count() {
+    for cs in all_case_studies() {
+        if cs.name == "Datapath" {
+            continue;
+        }
+        let coi = |jobs: usize| -> Vec<(String, u64, u64)> {
+            verify_module(&cs.ila, &cs.rtl, &cs.refmaps, &with_jobs(jobs))
+                .unwrap()
+                .ports
+                .iter()
+                .map(|p| {
+                    (
+                        p.port.clone(),
+                        p.telemetry.coi_states_dropped,
+                        p.telemetry.coi_inputs_dropped,
+                    )
+                })
+                .collect()
+        };
+        assert_eq!(coi(1), coi(4), "{}: port COI counters differ", cs.name);
+    }
 }
