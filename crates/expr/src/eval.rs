@@ -176,7 +176,10 @@ pub(crate) fn apply(op: Op, args: &[&Value]) -> Value {
                 args[2].clone()
             }
         }
-        Eq => Value::Bool(args[0] == args[1]),
+        Eq => Value::Bool(match (args[0], args[1]) {
+            (Value::Mem(a), Value::Mem(b)) => a.same_contents(b),
+            (a, b) => a == b,
+        }),
         BvNot => Value::Bv(args[0].as_bv().not()),
         BvNeg => Value::Bv(args[0].as_bv().neg()),
         BvAnd => Value::Bv(args[0].as_bv().and(args[1].as_bv())),
@@ -207,7 +210,7 @@ pub(crate) fn apply(op: Op, args: &[&Value]) -> Value {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Sort;
+    use crate::{MemValue, Sort};
 
     #[test]
     fn eval_arith() {
@@ -220,6 +223,26 @@ mod tests {
         env.bind_u64(&ctx, "x", 3);
         env.bind_u64(&ctx, "y", 4);
         assert_eq!(eval(&ctx, p, &env).unwrap().as_bv().to_u64(), 21);
+    }
+
+    #[test]
+    fn memory_equality_compares_contents() {
+        // Both hold 7 at every address, stored differently.
+        let full = MemValue::from_words(1, 4, vec![BitVecValue::from_u64(7, 4); 2]);
+        let filled = MemValue::filled(1, 4, BitVecValue::from_u64(7, 4));
+        let mut ctx = ExprCtx::new();
+        let m = ctx.var(
+            "m",
+            Sort::Mem {
+                addr_width: 1,
+                data_width: 4,
+            },
+        );
+        let c = ctx.mem_const(filled);
+        let eq = ctx.eq(m, c);
+        let mut env = Env::new();
+        env.bind(m, full);
+        assert!(eval(&ctx, eq, &env).unwrap().as_bool());
     }
 
     #[test]

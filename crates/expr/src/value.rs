@@ -558,6 +558,22 @@ impl MemValue {
         Self::filled(addr_width, data_width, BitVecValue::zero(data_width))
     }
 
+    /// Creates a memory from its full contents, one word per address.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `words.len() != 2^addr_width` or a word is not
+    /// `data_width` wide.
+    pub fn from_words(addr_width: u32, data_width: u32, words: Vec<BitVecValue>) -> Self {
+        assert_eq!(words.len() as u64, 1u64 << addr_width, "word count mismatch");
+        let mut m = Self::zeroed(addr_width, data_width);
+        for (a, word) in words.into_iter().enumerate() {
+            assert_eq!(word.width(), data_width, "memory word width mismatch");
+            m.written.insert(a as u64, word);
+        }
+        m
+    }
+
     /// Address width in bits.
     pub fn addr_width(&self) -> u32 {
         self.addr_width
@@ -672,6 +688,22 @@ impl MemValue {
         let mut out = self.clone();
         out.written.insert(key, data.clone());
         out
+    }
+
+    /// Whether two memories hold the same word at every address,
+    /// however each splits its contents between the default word and
+    /// explicit writes (the derived `==` compares that split too).
+    pub fn same_contents(&self, other: &MemValue) -> bool {
+        if self == other {
+            return true;
+        }
+        if (self.addr_width, self.data_width) != (other.addr_width, other.data_width) {
+            return false;
+        }
+        let written: std::collections::BTreeSet<u64> =
+            self.written.keys().chain(other.written.keys()).copied().collect();
+        written.iter().all(|&a| self.read_word(a) == other.read_word(a))
+            && (written.len() as u64 == 1u64 << self.addr_width || self.default == other.default)
     }
 
     /// Iterates over explicitly written (address, word) pairs.
@@ -885,6 +917,21 @@ mod tests {
     fn mem_addr_masking() {
         let m = MemValue::zeroed(4, 8).write(&bv(0x13, 8), &bv(1, 8));
         assert_eq!(m.read(&bv(0x3, 4)), bv(1, 8));
+    }
+
+    #[test]
+    fn same_contents_ignores_how_words_are_stored() {
+        // All four words written vs. a default plus overrides.
+        let words = [7, 0, 7, 7].iter().map(|&w| bv(w, 4)).collect();
+        let full = MemValue::from_words(2, 4, words);
+        let sparse = MemValue::filled(2, 4, bv(7, 4)).write_word(1, bv(0, 4));
+        assert_ne!(full, sparse);
+        assert!(full.same_contents(&sparse) && sparse.same_contents(&full));
+        assert!(!full.same_contents(&sparse.write_word(3, bv(1, 4))));
+        // Same overrides, defaults differing at the unwritten addresses.
+        let zeros = MemValue::zeroed(2, 4).write_word(1, bv(3, 4));
+        let ones = MemValue::filled(2, 4, bv(1, 4)).write_word(1, bv(3, 4));
+        assert!(!zeros.same_contents(&ones));
     }
 
     #[test]

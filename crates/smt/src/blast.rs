@@ -1,9 +1,10 @@
 //! Tseitin bit-blasting of expression DAGs into CNF.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
 
 use gila_expr::{BitVecValue, ExprCtx, ExprNode, ExprRef, MemValue, Op, Value};
-use gila_sat::{CancelToken, Lit, ResourceOut, SolveLimits, SolveResult, Solver};
+use gila_sat::{CancelToken, Lit, ResourceOut, SolveLimits, SolveResult, Solver, SolverStats};
 
 /// The bit-level representation of an expression.
 #[derive(Clone, Debug)]
@@ -11,8 +12,42 @@ enum Repr {
     Bool(Lit),
     /// Bits, least-significant first.
     Bv(Vec<Lit>),
-    /// One word (LSB-first bits) per address, `2^addr_width` words.
-    Mem(Vec<Vec<Lit>>),
+    /// A node of the memory graph in [`SmtSolver::mems`].
+    Mem(MemId),
+}
+
+/// Index of a [`MemNode`] in [`SmtSolver::mems`].
+type MemId = usize;
+
+/// A memory in the lazy read-over-write encoding. Only base memories
+/// own words; a write or an ite is a symbolic node over its operands,
+/// and a read expands through the nodes down to the bases
+/// ([`SmtSolver::read_mem`]). No memory is ever materialized word by
+/// word beyond its base.
+#[derive(Clone, Debug)]
+enum MemNode {
+    /// A memory variable (fresh literals) or constant: one LSB-first
+    /// word per address, `2^addr_width` words, no clauses.
+    Base(Arc<Vec<Vec<Lit>>>),
+    /// `base` with `data` stored at `addr`.
+    Write {
+        base: MemId,
+        addr: Vec<Lit>,
+        data: Vec<Lit>,
+    },
+    /// `cond ? then : els`.
+    Ite { cond: Lit, then: MemId, els: MemId },
+}
+
+/// A blasted memory equality `lit ↔ a = b`. The negative side is
+/// encoded up front (`¬lit` forces a difference at a fresh Skolem
+/// address); the positive side is refined on demand after each SAT
+/// answer ([`SmtSolver::refine_mem_eqs`]).
+#[derive(Clone, Copy, Debug)]
+struct MemEq {
+    lit: Lit,
+    a: MemId,
+    b: MemId,
 }
 
 /// Outcome of a satisfiability check, with a model on the SAT side.
@@ -125,8 +160,24 @@ pub struct SmtSolver {
     /// scope pops; the blasted definitions stay shared across scopes.
     scopes: Vec<Lit>,
     /// CNF grown by the most recent `check`/`check_assuming` call
-    /// (blasting assumptions can add variables and clauses).
+    /// (blasting assumptions and refining memory equalities can add
+    /// variables and clauses).
     last_check_cnf: BlastStats,
+    /// Solver effort of the most recent check, summed over its
+    /// refinement rounds.
+    last_check_effort: SolverStats,
+    /// The memory graph; [`Repr::Mem`] indexes into it.
+    mems: Vec<MemNode>,
+    /// Blasted reads, memoized per (memory node, address literals).
+    reads: HashMap<(MemId, Vec<Lit>), Vec<Lit>>,
+    /// Every memory equality blasted so far, for positive refinement.
+    mem_eqs: Vec<MemEq>,
+    /// `(index into mem_eqs, address)` pairs refined so far.
+    refined: HashSet<(usize, u64)>,
+    /// Test-only switch to the eager reference encoding
+    /// (see the `eager` module).
+    #[cfg(test)]
+    eager_memory: bool,
 }
 
 impl SmtSolver {
@@ -146,9 +197,10 @@ impl SmtSolver {
     }
 
     /// Solver effort spent by the most recent `check`/`check_assuming`
-    /// call alone (counters are per-call deltas).
-    pub fn last_check_effort(&self) -> gila_sat::SolverStats {
-        self.solver.last_solve_stats()
+    /// call alone, over all of its refinement rounds (counters are
+    /// per-call deltas).
+    pub fn last_check_effort(&self) -> SolverStats {
+        self.last_check_effort
     }
 
     /// Installs per-check resource limits on the underlying SAT solver;
@@ -478,16 +530,6 @@ impl SmtSolver {
         (q, r)
     }
 
-    fn addr_select(&mut self, addr: &[Lit], value: usize) -> Lit {
-        let mut sel = self.tt();
-        for (i, &ab) in addr.iter().enumerate() {
-            let want = (value >> i) & 1 == 1;
-            let bit = if want { ab } else { !ab };
-            sel = self.gate_and(sel, bit);
-        }
-        sel
-    }
-
     // ------------------------------------------------------------------
     // Blasting
     // ------------------------------------------------------------------
@@ -502,13 +544,245 @@ impl SmtSolver {
     }
 
     fn mem_const_words(&mut self, m: &MemValue) -> Vec<Vec<Lit>> {
-        let n = 1usize << m.addr_width();
-        (0..n)
-            .map(|a| {
-                let word = m.read(&BitVecValue::from_u64(a as u64, m.addr_width()));
-                self.bv_const_bits(&word)
-            })
+        (0..1u64 << m.addr_width())
+            .map(|a| self.bv_const_bits(m.read_word(a)))
             .collect()
+    }
+
+    // ------------------------------------------------------------------
+    // Memories: lazy read-over-write
+    // ------------------------------------------------------------------
+
+    fn push_mem(&mut self, node: MemNode) -> MemId {
+        self.mems.push(node);
+        self.mems.len() - 1
+    }
+
+    /// `(addr_width, data_width)` of a memory node.
+    fn mem_shape(&self, mut mem: MemId) -> (u32, u32) {
+        loop {
+            match &self.mems[mem] {
+                MemNode::Base(words) => {
+                    return (words.len().trailing_zeros(), words[0].len() as u32)
+                }
+                MemNode::Write { addr, data, .. } => return (addr.len() as u32, data.len() as u32),
+                MemNode::Ite { then, .. } => mem = *then,
+            }
+        }
+    }
+
+    fn mem_ite(&mut self, cond: Lit, then: MemId, els: MemId) -> MemId {
+        match self.const_of(cond) {
+            Some(true) => then,
+            Some(false) => els,
+            None if then == els => then,
+            None => self.push_mem(MemNode::Ite { cond, then, els }),
+        }
+    }
+
+    /// The word of `mem` at `addr`, expanding read-over-write:
+    /// `read(write(m, a, d), k) = ite(a = k, d, read(m, k))`, and
+    /// `read(ite(c, m1, m2), k) = ite(c, read(m1, k), read(m2, k))`. At
+    /// a base it selects through a balanced mux tree on the address
+    /// bits. Memoized per (node, address literals), so a read DAG is
+    /// blasted once however many derived memories share it. The walk
+    /// keeps an explicit stack: write chains grow with the unroll depth.
+    fn read_mem(&mut self, mem: MemId, addr: &[Lit]) -> Vec<Lit> {
+        let key = |m: MemId| (m, addr.to_vec());
+        // `(node, children pushed)`: a node is blasted on its second
+        // visit, once the reads it depends on are memoized.
+        let mut stack = vec![(mem, false)];
+        while let Some((m, expanded)) = stack.pop() {
+            if self.reads.contains_key(&key(m)) {
+                continue;
+            }
+            let node = self.mems[m].clone();
+            if !expanded {
+                stack.push((m, true));
+                match node {
+                    MemNode::Base(_) => {}
+                    MemNode::Write { base, addr: at, .. } => {
+                        if self.const_eq(&at, addr) != Some(true) {
+                            stack.push((base, false));
+                        }
+                    }
+                    MemNode::Ite { then, els, .. } => {
+                        stack.push((then, false));
+                        stack.push((els, false));
+                    }
+                }
+                continue;
+            }
+            let word = match node {
+                MemNode::Base(words) => self.mux_tree(&words, addr),
+                MemNode::Write {
+                    base,
+                    addr: at,
+                    data,
+                } => match self.const_eq(&at, addr) {
+                    Some(true) => data,
+                    Some(false) => self.reads[&key(base)].clone(),
+                    None => {
+                        let hit = self.eq_bv(&at, addr);
+                        let old = self.reads[&key(base)].clone();
+                        self.mux_bv(hit, &data, &old)
+                    }
+                },
+                MemNode::Ite { cond, then, els } => {
+                    let t = self.reads[&key(then)].clone();
+                    let e = self.reads[&key(els)].clone();
+                    self.mux_bv(cond, &t, &e)
+                }
+            };
+            self.reads.insert(key(m), word);
+        }
+        self.reads[&key(mem)].clone()
+    }
+
+    /// `a == b` when the literals alone decide it, without building a
+    /// comparator: equal if every bit pair is one literal, different if
+    /// some pair is complementary (constants included).
+    fn const_eq(&self, a: &[Lit], b: &[Lit]) -> Option<bool> {
+        if a.iter().zip(b).any(|(&x, &y)| x == !y) {
+            return Some(false);
+        }
+        (a == b).then_some(true)
+    }
+
+    /// Selects `words[addr]` (`words.len() == 2^addr.len()`) through a
+    /// mux tree split on the most significant address bit first; a
+    /// constant address bit prunes the half it does not select.
+    fn mux_tree(&mut self, words: &[Vec<Lit>], addr: &[Lit]) -> Vec<Lit> {
+        let Some((&msb, rest)) = addr.split_last() else {
+            return words[0].clone();
+        };
+        let (lo, hi) = words.split_at(words.len() / 2);
+        match self.const_of(msb) {
+            Some(true) => self.mux_tree(hi, rest),
+            Some(false) => self.mux_tree(lo, rest),
+            None => {
+                let lo = self.mux_tree(lo, rest);
+                let hi = self.mux_tree(hi, rest);
+                self.mux_bv(msb, &hi, &lo)
+            }
+        }
+    }
+
+    /// Blasts `a = b` for two memories. The literal is fresh; its
+    /// negative side is exact up front (a difference at a fresh Skolem
+    /// address `k`), its positive side is refined after SAT answers.
+    fn mem_eq(&mut self, a: MemId, b: MemId) -> Lit {
+        if a == b {
+            return self.tt();
+        }
+        let (addr_width, _) = self.mem_shape(a);
+        let lit = self.fresh();
+        let k: Vec<Lit> = (0..addr_width).map(|_| self.fresh()).collect();
+        let ra = self.read_mem(a, &k);
+        let rb = self.read_mem(b, &k);
+        let same = self.eq_bv(&ra, &rb);
+        self.add_clause(vec![lit, !same]);
+        self.mem_eqs.push(MemEq { lit, a, b });
+        lit
+    }
+
+    /// After a SAT answer: every memory equality whose literal is true
+    /// in the model but whose memories the model evaluates as different
+    /// gets the lemma `¬lit ∨ a[j] = b[j]` at the first differing
+    /// address `j`. Returns whether any lemma was added (the model is
+    /// then stale and the caller must solve again). Each lemma is a
+    /// consequence of the equality's definition, so it is permanent and
+    /// scope-independent. Every later model satisfies it, so an
+    /// (equality, address) pair comes up at most once and the
+    /// refinement loop terminates; a repeat means the encoding and the
+    /// model disagree, and panics instead of looping.
+    fn refine_mem_eqs(&mut self) -> bool {
+        let mut memo = HashMap::new();
+        // Read the whole model before adding a clause: adding one
+        // backtracks the SAT solver and clears its assignment.
+        let lemmas: Vec<(usize, u64)> = (0..self.mem_eqs.len())
+            .filter(|&i| self.model_bit(self.mem_eqs[i].lit))
+            .filter_map(|i| {
+                let a = self.model_mem(self.mem_eqs[i].a, &mut memo);
+                let b = self.model_mem(self.mem_eqs[i].b, &mut memo);
+                first_difference(&a, &b).map(|j| (i, j))
+            })
+            .collect();
+        for &(i, j) in &lemmas {
+            assert!(
+                self.refined.insert((i, j)),
+                "encoding fault: memory equality {i} refined twice at address {j}"
+            );
+            let eq = self.mem_eqs[i];
+            let (addr_width, _) = self.mem_shape(eq.a);
+            let at = self.bv_const_bits(&BitVecValue::from_u64(j, addr_width));
+            let ra = self.read_mem(eq.a, &at);
+            let rb = self.read_mem(eq.b, &at);
+            let same = self.eq_bv(&ra, &rb);
+            self.add_clause(vec![!eq.lit, same]);
+        }
+        !lemmas.is_empty()
+    }
+
+    fn model_bit(&self, l: Lit) -> bool {
+        self.solver.lit_model_value(l).unwrap_or(false)
+    }
+
+    fn model_bits(&self, bits: &[Lit]) -> BitVecValue {
+        let bools: Vec<bool> = bits.iter().map(|&l| self.model_bit(l)).collect();
+        BitVecValue::from_bits(&bools)
+    }
+
+    /// The value of a memory node in the current model. A model picks
+    /// one branch of every ite, so the value depends on a single chain
+    /// of nodes down to a base; it is walked without recursion and every
+    /// node on it is memoized.
+    fn model_mem(&self, mem: MemId, memo: &mut HashMap<MemId, MemValue>) -> MemValue {
+        let mut chain = Vec::new();
+        let mut m = mem;
+        let mut value = loop {
+            if let Some(value) = memo.get(&m) {
+                break value.clone();
+            }
+            match &self.mems[m] {
+                MemNode::Base(words) => {
+                    let (addr_width, data_width) = self.mem_shape(m);
+                    let words = words.iter().map(|word| self.model_bits(word)).collect();
+                    let value = MemValue::from_words(addr_width, data_width, words);
+                    memo.insert(m, value.clone());
+                    break value;
+                }
+                MemNode::Write { base, .. } => {
+                    chain.push(m);
+                    m = *base;
+                }
+                MemNode::Ite { cond, then, els } => {
+                    chain.push(m);
+                    m = if self.model_bit(*cond) { *then } else { *els };
+                }
+            }
+        };
+        for &n in chain.iter().rev() {
+            if let MemNode::Write { addr, data, .. } = &self.mems[n] {
+                value = value.write(&self.model_bits(addr), &self.model_bits(data));
+            }
+            memo.insert(n, value.clone());
+        }
+        value
+    }
+
+    /// Solves under `assumptions`, refining memory equalities until the
+    /// SAT model is a real one. Records the effort of all rounds.
+    fn solve_refined(&mut self, assumptions: &[Lit]) -> SmtResult {
+        let start = self.solver.stats();
+        let result = loop {
+            match self.solver.solve_with_assumptions(assumptions) {
+                SolveResult::Sat if self.refine_mem_eqs() => continue,
+                r => break r.into(),
+            }
+        };
+        self.last_check_effort = self.solver.stats().since(start);
+        result
     }
 
     fn blast(&mut self, ctx: &ExprCtx, root: ExprRef) -> Repr {
@@ -520,7 +794,10 @@ impl SmtSolver {
             let repr = match ctx.node(e).clone() {
                 ExprNode::BoolConst(b) => Repr::Bool(self.lit_of_bool(b)),
                 ExprNode::BvConst(v) => Repr::Bv(self.bv_const_bits(&v)),
-                ExprNode::MemConst(m) => Repr::Mem(self.mem_const_words(&m)),
+                ExprNode::MemConst(m) => {
+                    let words = self.mem_const_words(&m);
+                    Repr::Mem(self.push_mem(MemNode::Base(Arc::new(words))))
+                }
                 ExprNode::Var { sort, .. } => match sort {
                     gila_expr::Sort::Bool => Repr::Bool(self.fresh()),
                     gila_expr::Sort::Bv(w) => {
@@ -530,12 +807,10 @@ impl SmtSolver {
                         addr_width,
                         data_width,
                     } => {
-                        let n = 1usize << addr_width;
-                        Repr::Mem(
-                            (0..n)
-                                .map(|_| (0..data_width).map(|_| self.fresh()).collect())
-                                .collect(),
-                        )
+                        let words = (0..1u64 << addr_width)
+                            .map(|_| (0..data_width).map(|_| self.fresh()).collect())
+                            .collect();
+                        Repr::Mem(self.push_mem(MemNode::Base(Arc::new(words))))
                     }
                 },
                 ExprNode::App { op, args, .. } => self.blast_app(op, &args),
@@ -559,15 +834,21 @@ impl SmtSolver {
         }
     }
 
-    fn mem_arg(&self, e: ExprRef) -> Vec<Vec<Lit>> {
+    fn mem_arg(&self, e: ExprRef) -> MemId {
         match &self.cache[&e] {
-            Repr::Mem(words) => words.clone(),
+            Repr::Mem(mem) => *mem,
             other => panic!("expected mem repr, got {other:?}"),
         }
     }
 
     fn blast_app(&mut self, op: Op, args: &[ExprRef]) -> Repr {
         use Op::*;
+        #[cfg(test)]
+        if self.eager_memory {
+            if let Some(repr) = self.blast_mem_eager(op, args) {
+                return repr;
+            }
+        }
         match op {
             Not => {
                 let a = self.bool_arg(args[0]);
@@ -607,12 +888,7 @@ impl SmtSolver {
                     }
                     Repr::Mem(t) => {
                         let e = self.mem_arg(args[2]);
-                        let words = t
-                            .iter()
-                            .zip(&e)
-                            .map(|(tw, ew)| self.mux_bv(c, tw, ew))
-                            .collect();
-                        Repr::Mem(words)
+                        Repr::Mem(self.mem_ite(c, t, e))
                     }
                 }
             }
@@ -627,12 +903,7 @@ impl SmtSolver {
                 }
                 Repr::Mem(a) => {
                     let b = self.mem_arg(args[1]);
-                    let mut res = self.tt();
-                    for (wa, wb) in a.iter().zip(&b) {
-                        let we = self.eq_bv(wa, wb);
-                        res = self.gate_and(res, we);
-                    }
-                    Repr::Bool(res)
+                    Repr::Bool(self.mem_eq(a, b))
                 }
             },
             BvNot => {
@@ -746,28 +1017,15 @@ impl SmtSolver {
                 Repr::Bool(!gt)
             }
             MemRead => {
-                let words = self.mem_arg(args[0]);
+                let mem = self.mem_arg(args[0]);
                 let addr = self.bv_arg(args[1]);
-                let mut result = words[0].clone();
-                for (a, word) in words.iter().enumerate().skip(1) {
-                    let sel = self.addr_select(&addr, a);
-                    result = self.mux_bv(sel, word, &result);
-                }
-                Repr::Bv(result)
+                Repr::Bv(self.read_mem(mem, &addr))
             }
             MemWrite => {
-                let words = self.mem_arg(args[0]);
+                let base = self.mem_arg(args[0]);
                 let addr = self.bv_arg(args[1]);
                 let data = self.bv_arg(args[2]);
-                let new_words = words
-                    .iter()
-                    .enumerate()
-                    .map(|(a, word)| {
-                        let sel = self.addr_select(&addr, a);
-                        self.mux_bv(sel, &data, word)
-                    })
-                    .collect();
-                Repr::Mem(new_words)
+                Repr::Mem(self.push_mem(MemNode::Write { base, addr, data }))
             }
             BoolToBv => {
                 let a = self.bool_arg(args[0]);
@@ -857,13 +1115,11 @@ impl SmtSolver {
 
     /// Checks satisfiability of all assertions so far.
     pub fn check(&mut self) -> SmtResult {
-        self.last_check_cnf = BlastStats::default();
-        if self.scopes.is_empty() {
-            self.solver.solve().into()
-        } else {
-            let scopes = self.scopes.clone();
-            self.solver.solve_with_assumptions(&scopes).into()
-        }
+        let before = self.stats;
+        let scopes = self.scopes.clone();
+        let result = self.solve_refined(&scopes);
+        self.last_check_cnf = self.stats.since(before);
+        result
     }
 
     /// Checks satisfiability of the assertions *plus* the given boolean
@@ -882,7 +1138,8 @@ impl SmtSolver {
         // between properties, not just mid-search.
         if self.solver.resources_exhausted().is_some() {
             self.last_check_cnf = BlastStats::default();
-            return self.solver.solve_with_assumptions(&self.scopes.clone()).into();
+            let scopes = self.scopes.clone();
+            return self.solve_refined(&scopes);
         }
         let before = self.stats;
         let mut lits: Vec<Lit> = assumptions
@@ -900,8 +1157,9 @@ impl SmtSolver {
             })
             .collect();
         lits.extend_from_slice(&self.scopes);
+        let result = self.solve_refined(&lits);
         self.last_check_cnf = self.stats.since(before);
-        self.solver.solve_with_assumptions(&lits).into()
+        result
     }
 
     /// Reads the value of an expression from the most recent model.
@@ -922,29 +1180,17 @@ impl SmtSolver {
     /// expressions that were never blasted (e.g. variables not mentioned
     /// in any assertion).
     pub fn try_model_value(&self, _ctx: &ExprCtx, e: ExprRef) -> Option<Value> {
-        let repr = self.cache.get(&e)?;
-        let bit = |l: Lit| self.solver.lit_model_value(l).unwrap_or(false);
-        Some(match repr {
-            Repr::Bool(l) => Value::Bool(bit(*l)),
-            Repr::Bv(bits) => {
-                let bools: Vec<bool> = bits.iter().map(|&l| bit(l)).collect();
-                Value::Bv(BitVecValue::from_bits(&bools))
-            }
-            Repr::Mem(words) => {
-                let addr_width = words.len().trailing_zeros();
-                let data_width = words[0].len() as u32;
-                let mut m = MemValue::zeroed(addr_width, data_width);
-                for (a, word) in words.iter().enumerate() {
-                    let bools: Vec<bool> = word.iter().map(|&l| bit(l)).collect();
-                    m = m.write(
-                        &BitVecValue::from_u64(a as u64, addr_width),
-                        &BitVecValue::from_bits(&bools),
-                    );
-                }
-                Value::Mem(m)
-            }
+        Some(match self.cache.get(&e)? {
+            Repr::Bool(l) => Value::Bool(self.model_bit(*l)),
+            Repr::Bv(bits) => Value::Bv(self.model_bits(bits)),
+            Repr::Mem(mem) => Value::Mem(self.model_mem(*mem, &mut HashMap::new())),
         })
     }
+}
+
+/// The lowest address at which two same-shaped memories differ.
+fn first_difference(a: &MemValue, b: &MemValue) -> Option<u64> {
+    (0..1u64 << a.addr_width()).find(|&j| a.read_word(j) != b.read_word(j))
 }
 
 /// Convenience check that two expressions are semantically equivalent
@@ -970,6 +1216,9 @@ pub fn prove_equiv(ctx: &mut ExprCtx, a: ExprRef, b: ExprRef) -> bool {
     smt.assert(ctx, ne);
     !smt.check().is_sat()
 }
+
+#[cfg(test)]
+mod eager;
 
 #[cfg(test)]
 mod tests {
@@ -1256,6 +1505,39 @@ mod tests {
         let reads_eq = ctx.eq(r1, r2);
         let prop = ctx.implies(eq, reads_eq);
         assert!(check_valid(&mut ctx, prop));
+    }
+
+    #[test]
+    fn derived_memories_have_model_values() {
+        let mut ctx = ExprCtx::new();
+        let m = ctx.var(
+            "m",
+            Sort::Mem {
+                addr_width: 2,
+                data_width: 3,
+            },
+        );
+        let a = ctx.var("a", Sort::Bv(2));
+        let d = ctx.bv_u64(5, 3);
+        let w = ctx.mem_write(m, a, d);
+        let p = ctx.var("p", Sort::Bool);
+        let it = ctx.ite(p, w, m);
+        let ne = ctx.ne(it, m);
+        let mut smt = SmtSolver::new();
+        smt.assert(&ctx, ne);
+        assert!(smt.check().is_sat());
+        let (mv, wv, iv) = (
+            smt.model_value(&ctx, m),
+            smt.model_value(&ctx, w),
+            smt.model_value(&ctx, it),
+        );
+        let av = smt.model_value(&ctx, a);
+        assert!(smt.model_value(&ctx, p).as_bool());
+        assert!(wv
+            .as_mem()
+            .same_contents(&mv.as_mem().write(av.as_bv(), &BitVecValue::from_u64(5, 3))));
+        assert!(iv.as_mem().same_contents(wv.as_mem()));
+        assert!(!iv.as_mem().same_contents(mv.as_mem()));
     }
 
     #[test]

@@ -6,9 +6,15 @@
 //! checker used in the original DATE 2021 evaluation.
 //!
 //! Encodings: ripple-carry adders, shift-add multipliers, restoring
-//! dividers, logarithmic barrel shifters, comparison chains, word-vector
-//! memories with one-hot address selection. All encodings are validated
-//! against the concrete evaluator by randomized tests.
+//! dividers, logarithmic barrel shifters, comparison chains. Memories
+//! are encoded lazily: only memory variables and constants own words;
+//! writes and memory ites stay symbolic, a read expands read-over-write
+//! down to a mux tree at the base, and a memory equality is exact in
+//! both polarities — a Skolem address witnesses a difference, and a
+//! true equality is refined after each SAT answer at the first address
+//! where the model's two memories differ. All encodings are validated
+//! against the concrete evaluator by randomized tests, and the lazy
+//! memories against an eager test-only reference encoding.
 //!
 //! # Examples
 //!

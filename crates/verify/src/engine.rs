@@ -564,11 +564,11 @@ impl Default for VerifyOptions {
 /// (`BENCH_verify.json`): designs whose estimated blast work sits below
 /// this run faster on one worker than on a pool, because their solve
 /// time is too small to amortize worker spawn + per-worker blast
-/// duplication. On the bundled designs the split is wide — the
-/// control-dominated modules (decoder, AXI, memory interface, L2 cache)
-/// estimate below ~17.5k weighted clause groups and lose time on the
-/// pool, while the solver-bound ones (store buffer, NoC router,
-/// datapath) estimate above ~19k and gain 1.2-1.6x from it.
+/// duplication. On the bundled designs the split is wide — decoder,
+/// AXI, memory interface, L2 cache and store buffer estimate at most
+/// ~7k weighted clause groups and run in milliseconds, while NoC router
+/// and datapath estimate above 32k and gain ~1.9x and ~1.1x from the
+/// pool.
 pub const PAR_THRESHOLD: u64 = 18_000;
 
 /// The per-job knobs a scheduler threads through to every check.
@@ -1422,6 +1422,7 @@ fn check_instruction_inner(
                     .map(|(n, _)| n)
                     .collect()
             };
+            confirm_replayed_mismatch(port.name(), &instr.name, frame, &mismatched);
             let rtl_inputs = (0..frame)
                 .map(|k| u.concretize_inputs(smt, k))
                 .collect();
@@ -1444,6 +1445,22 @@ fn check_instruction_inner(
         result = CheckResult::FinishNotReached { max_cycles: bound };
     }
     Ok(result)
+}
+
+/// Checks that a SAT violation replays: `mismatched` lists the mapped
+/// states whose post-state equality, re-evaluated by the concrete
+/// evaluator on the model's variable values, is false. An empty list
+/// means the solver's model does not violate the property at all — a
+/// fault in the encoding, not a bug in the design. It panics, so the
+/// job's isolation ([`run_job_guarded`]) reports it as
+/// [`CheckResult::JobPanicked`] (an internal error, exit 4) instead of
+/// a counterexample.
+fn confirm_replayed_mismatch(port: &str, instr: &str, frame: usize, mismatched: &[String]) {
+    assert!(
+        !mismatched.is_empty(),
+        "encoding fault: {port}/{instr}: the SAT model for cycle {frame} \
+         violates the property, but its replay shows no mismatched state"
+    );
 }
 
 /// Emits one `solve` span for a completed SAT check: its per-call
@@ -1565,10 +1582,13 @@ fn telemetry_of(verdicts: &[InstrVerdict]) -> Telemetry {
 /// obligations the pool could parallelize). A run whose summed estimate
 /// is below [`PAR_THRESHOLD`] uses one worker.
 ///
-/// The weights mirror `gila_smt::Blaster`: linear bit-vector ops cost
-/// one clause group per output bit, multiplication and division build
-/// a width-squared shift-add/restoring network, shifts a barrel of
-/// `w log w` muxes, and memory ops touch all `2^addr_width` words.
+/// The weights mirror `gila_smt`'s encoding: linear bit-vector ops
+/// cost one clause group per output bit, multiplication and division
+/// build a width-squared shift-add/restoring network, and shifts a
+/// barrel of `w log w` muxes. Memories are encoded lazily: a write or a
+/// memory ite is a symbolic node and costs nothing, a read costs one
+/// mux tree over the `2^addr_width` words, and a memory equality two
+/// such reads at a Skolem address.
 pub(crate) fn estimate_port_work(plan: &PortPlan<'_>, ts: &TransitionSystem) -> u64 {
     let ctx = ts.ctx();
     let mut roots: Vec<ExprRef> = Vec::new();
@@ -1582,11 +1602,17 @@ pub(crate) fn estimate_port_work(plan: &PortPlan<'_>, ts: &TransitionSystem) -> 
         match ctx.sort_of(e) {
             Sort::Bool => 1,
             Sort::Bv(w) => w as u64,
-            // A memory node materializes every word.
+            Sort::Mem { .. } => 0,
+        }
+    };
+    // One mux tree selecting a word of memory `m`.
+    let mux_tree = |m: ExprRef| -> u64 {
+        match ctx.sort_of(m) {
             Sort::Mem {
                 addr_width,
                 data_width,
             } => (1u64 << addr_width.min(24)) * data_width as u64,
+            _ => 0,
         }
     };
     let mut cnf: u64 = 0;
@@ -1603,6 +1629,9 @@ pub(crate) fn estimate_port_work(plan: &PortPlan<'_>, ts: &TransitionSystem) -> 
             .max()
             .unwrap_or(1);
         cnf += match op {
+            _ if bits(e) == 0 => 0, // a memory write or ite
+            Op::MemRead => mux_tree(args[0]),
+            Op::Eq if bits(args[0]) == 0 => 2 * mux_tree(args[0]),
             Op::BvMul | Op::BvUdiv | Op::BvUrem => w.saturating_mul(w),
             Op::BvShl | Op::BvLshr | Op::BvAshr => {
                 w.saturating_mul(64 - w.leading_zeros() as u64)
@@ -1684,12 +1713,11 @@ fn coi_preprocess(
 /// Minimum [`estimate_port_work`] before the invariant-lemma pass is
 /// worth running: on millisecond-scale ports the whole verification
 /// finishes in less time than the fixpoint, so the lemmas can never
-/// repay their cost. The cutoff reuses [`PAR_THRESHOLD`] — the
-/// same estimate already separates the bundled control-dominated
-/// designs (≤17.5k, where solves are trivial) from the solver-bound
-/// ones (≥19k, where the lemmas showed 1.05–1.14x). Skipping is purely
-/// a scheduling decision: the lemmas are redundant consequences of the
-/// transition relation, so verdicts are identical either way.
+/// repay their cost. The cutoff reuses [`PAR_THRESHOLD`]; per port,
+/// only the NoC router's input port (~18.2k) reaches it on the bundled
+/// designs. Skipping is purely a scheduling decision: the lemmas are
+/// redundant consequences of the transition relation, so verdicts are
+/// identical either way.
 const ABSINT_WORK_THRESHOLD: u64 = PAR_THRESHOLD;
 
 /// Runs the `gila-absint` widening fixpoint over a port's (sliced)
@@ -2468,5 +2496,14 @@ endmodule
             .verdicts
             .iter()
             .any(|v| matches!(v.result, CheckResult::FinishNotReached { .. })));
+    }
+
+    #[test]
+    fn replayed_counterexample_must_show_a_mismatch() {
+        confirm_replayed_mismatch("P", "inc", 1, &["cnt".to_string()]);
+        let fault = catch_unwind(|| confirm_replayed_mismatch("P", "inc", 1, &[]))
+            .expect_err("an empty replay is an encoding fault");
+        let message = panic_message(fault.as_ref());
+        assert!(message.starts_with("encoding fault: P/inc"), "{message}");
     }
 }

@@ -149,12 +149,6 @@ fn accelerators_off(jobs: usize) -> [(&'static str, VerifyOptions); 2] {
 #[test]
 fn verify_verdicts_identical_with_and_without_absint() {
     for cs in all_case_studies() {
-        // The full-memory Datapath run is covered by the one-worker
-        // absint pass below; its other runs are skipped here for the
-        // same cost reason the end-to-end suite skips it.
-        if cs.name == "Datapath" {
-            continue;
-        }
         for jobs in [1usize, 4] {
             for buggy in [false, true] {
                 if buggy && cs.buggy_rtl.is_none() {
@@ -183,23 +177,4 @@ fn verify_verdicts_identical_with_and_without_absint() {
             }
         }
     }
-}
-
-/// The one-worker Datapath pass: one absint on/off pair at `jobs = 1`
-/// keeps the full-memory design covered without paying for a pooled
-/// rerun.
-#[test]
-fn verify_verdicts_identical_on_datapath_sequential() {
-    let off = VerifyOptions {
-        absint: false,
-        ..VerifyOptions::default()
-    };
-    let on = verify_with("Datapath", &VerifyOptions::default(), false);
-    let off = verify_with("Datapath", &off, false);
-    assert!(on.all_hold(), "Datapath: {on:#?}");
-    assert_eq!(
-        verdict_shape(&on),
-        verdict_shape(&off),
-        "Datapath: absint changed a verdict"
-    );
 }

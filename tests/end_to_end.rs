@@ -31,11 +31,6 @@ fn all_eight_case_studies_reproduce() {
             "{}: instruction count drifted from Table I",
             cs.name
         );
-        // Skip the slowest full-memory run here (covered by the benches
-        // and the dedicated ablation test below).
-        if cs.name == "Datapath" {
-            continue;
-        }
         let report = verify_module(&cs.ila, &cs.rtl, &cs.refmaps, &VerifyOptions::default())
             .unwrap_or_else(|e| panic!("{}: setup error {e}", cs.name));
         assert!(report.all_hold(), "{}: {report:#?}", cs.name);

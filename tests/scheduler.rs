@@ -246,9 +246,6 @@ fn pooled_total_time_counts_overlapping_ports_once() {
 #[test]
 fn port_coi_counters_do_not_depend_on_the_worker_count() {
     for cs in all_case_studies() {
-        if cs.name == "Datapath" {
-            continue;
-        }
         let coi = |jobs: usize| -> Vec<(String, u64, u64)> {
             verify_module(&cs.ila, &cs.rtl, &cs.refmaps, &with_jobs(jobs))
                 .unwrap()
